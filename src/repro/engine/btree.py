@@ -35,7 +35,7 @@ EncodedKey = Tuple[Tuple[object, ...], ...]
 
 def encode_key(values: Sequence[object]) -> EncodedKey:
     """Encode raw column values into a totally-ordered composite key."""
-    return tuple((0, 0) if v is None else (1, v) for v in values)
+    return tuple([(0, 0) if v is None else (1, v) for v in values])
 
 
 def encode_bound(
@@ -129,7 +129,11 @@ class BTree:
         inner levels are built bottom-up — the standard fast build used
         by CREATE INDEX.
         """
-        entries = sorted(entries)
+        self._load_sorted(sorted(entries))
+
+    def _load_sorted(self, entries: List[Tuple[EncodedKey, Rid]]) -> None:
+        """``bulk_load`` without the sort: ``entries`` must already be
+        in ``(key, rid)`` order."""
         self._num_entries = len(entries)
         self._split_count = 0
         fill = max(1, int(self.leaf_capacity * 0.9))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.btree import (
@@ -232,16 +233,68 @@ class Index:
     # -- maintenance ---------------------------------------------------------------
 
     def build(self, rows: Sequence[Tuple[Rid, Row]]) -> None:
-        """Bulk-load the index from the table's current contents."""
-        buckets: List[List[Tuple[EncodedKey, Rid]]] = [
-            [] for _ in self._trees
-        ]
+        """Bulk-load the index from the table's current contents.
+
+        ``rows`` must be in ascending rid order, as ``HeapFile.scan``
+        yields them. Each tree then gets exactly the entries, in
+        exactly the order, of ``sorted((encode_key(key), rid))``, but
+        sorted on the raw column values: a stable sort of rid-ordered
+        rows breaks ties on rid just as the ``(key, rid)`` sort does.
+        """
+        if not self._is_local:
+            self._trees[0]._load_sorted(self._sorted_entries(rows))
+            return
+        buckets: List[List[Tuple[Rid, Row]]] = [[] for _ in self._trees]
         for rid, row in rows:
-            buckets[self._partition_for_row(row)].append(
-                (encode_key(self.key_for_row(row)), rid)
-            )
-        for tree, entries in zip(self._trees, buckets):
-            tree.bulk_load(entries)
+            buckets[self._partition_for_row(row)].append((rid, row))
+        for tree, bucket in zip(self._trees, buckets):
+            tree._load_sorted(self._sorted_entries(bucket))
+
+    def _sorted_entries(
+        self, bucket: Sequence[Tuple[Rid, Row]]
+    ) -> List[Tuple[EncodedKey, Rid]]:
+        """The ``(key, rid)`` entries of one tree, in tree order."""
+        multi = len(self._column_positions) > 1
+        # A scalar for one column, a tuple for several.
+        raw_key = itemgetter(*self._column_positions)
+        keys = [raw_key(row) for _rid, row in bucket]
+        columns = list(zip(*keys)) if multi else [keys]
+        kinds = [set(map(type, column)) for column in columns]
+        # One value type per column, of a type whose equal values are
+        # indistinguishable: then equal keys can share one encoded key.
+        exact = all(len(kind) == 1 and kind <= _EXACT_TYPES for kind in kinds)
+        # NULL orders below every value only in its encoded form, and
+        # NaN compares false with everything, so the raw sort may order
+        # either differently from the reference sort.
+        if not exact and (
+            any(type(None) in kind for kind in kinds)
+            or any(v != v for column in columns for v in column)
+        ):
+            return self._reference_entries(bucket)
+        try:
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+        except TypeError:
+            # Unorderable mixed types: the reference sort decides.
+            return self._reference_entries(bucket)
+        encode = encode_key if multi else _encode_scalar
+        sorted_keys = map(keys.__getitem__, order)
+        if exact:
+            memo = {key: encode(key) for key in dict.fromkeys(keys)}
+            encoded = map(memo.__getitem__, sorted_keys)
+        else:
+            # ``1``, ``1.0`` and ``True`` (and ``0.0``, ``-0.0``) are
+            # equal but must keep their own stored value, since
+            # index-only scans return it.
+            encoded = map(encode, sorted_keys)
+        return list(zip(encoded, [bucket[i][0] for i in order]))
+
+    def _reference_entries(
+        self, bucket: Sequence[Tuple[Rid, Row]]
+    ) -> List[Tuple[EncodedKey, Rid]]:
+        """Encode every row's key, then sort on ``(key, rid)``."""
+        return sorted(
+            (encode_key(self.key_for_row(row)), rid) for rid, row in bucket
+        )
 
     def insert_row(self, rid: Rid, row: Row) -> int:
         """Index a new row; returns the number of page splits."""
@@ -277,6 +330,15 @@ class Index:
 
 
 _MISSING = object()
+
+# Value types that are never NULL or NaN and whose equal values are
+# indistinguishable (unlike ``-0.0`` and ``0.0``).
+_EXACT_TYPES = frozenset({int, str, bool})
+
+
+def _encode_scalar(value: object) -> EncodedKey:
+    """``encode_key((value,))`` for a known non-NULL value."""
+    return ((1, value),)
 
 
 @dataclass(frozen=True)

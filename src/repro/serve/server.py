@@ -56,11 +56,18 @@ class _Handler(socketserver.StreamRequestHandler):
                     "ok": False,
                     "error": f"{type(exc).__name__}: {exc}",
                 }
-            self.wfile.write(
-                json.dumps(response).encode("utf-8") + b"\n"
-            )
-            self.wfile.flush()
-            if response.get("op") == "shutdown" and response.get("ok"):
+            stop = response.get("op") == "shutdown" and response.get("ok")
+            try:
+                self.wfile.write(
+                    json.dumps(response).encode("utf-8") + b"\n"
+                )
+                self.wfile.flush()
+            finally:
+                # Stop only once the reply is out: the main thread may
+                # exit the process as soon as serving stops.
+                if stop:
+                    server.request_stop()
+            if stop:
                 break
 
 
@@ -78,10 +85,13 @@ class DaemonServer:
         self.daemon = daemon
         self.socket_path = str(socket_path)
         self._server = _SocketServer(self.socket_path, _Handler)
-        # The handler reaches the daemon through server.dispatch.
-        self._server.dispatch = self.dispatch  # type: ignore[attr-defined]
         self._shutdown_result: Optional[dict] = None
         self._stop_event = threading.Event()
+        # The handler reaches the daemon through server.dispatch, and
+        # stops serving through server.request_stop once it has
+        # written the shutdown reply.
+        self._server.dispatch = self.dispatch  # type: ignore[attr-defined]
+        self._server.request_stop = self._stop_event.set  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------
     # dispatch
@@ -135,10 +145,10 @@ class DaemonServer:
                 ),
             }
         if op == "shutdown":
+            # Serving stops once the handler has written this reply.
             self._shutdown_result = daemon.shutdown(
                 drain=bool(request_body.get("drain", True))
             )
-            self._stop_event.set()
             return {"ok": True, "op": op, **self._shutdown_result}
         return {"ok": False, "error": f"unknown op {op!r}"}
 

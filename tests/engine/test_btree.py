@@ -190,18 +190,17 @@ class TestBulkLoad:
 
 
 class TestShapeEstimation:
-    def test_estimate_close_to_actual(self):
-        n, width = 20000, 16
-        tree = BTree(key_byte_width=width)
-        tree.bulk_load([(encode_key((v, v)), (0, v)) for v in range(n)])
-        est_height, est_leaves, est_total = estimate_btree_shape(n, width)
-        assert est_height == tree.height
-        assert abs(est_leaves - tree.leaf_page_count) <= max(
-            2, tree.leaf_page_count // 10
-        )
-        assert abs(est_total - tree.page_count) <= max(
-            3, tree.page_count // 10
-        )
+    def test_estimate_equals_bulk_loaded_shape(self):
+        """Hypothetical-index costing assumes the estimate *is* the
+        shape CREATE INDEX builds, for every size and key width."""
+        for width in (1, 8, 16, 40, 200, 2000):
+            fill = max(1, int(BTree(key_byte_width=width).leaf_capacity * 0.9))
+            for n in (0, 1, fill - 1, fill, fill + 1, 30000):
+                tree = BTree(key_byte_width=width)
+                tree.bulk_load([(encode_key((v,)), (0, v)) for v in range(n)])
+                assert estimate_btree_shape(n, width) == (
+                    tree.height, tree.leaf_page_count, tree.page_count
+                ), (n, width)
 
     def test_estimate_empty(self):
         height, leaves, total = estimate_btree_shape(0, 8)

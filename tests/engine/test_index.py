@@ -1,7 +1,10 @@
 """IndexDef / Index / hypothetical shape tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.engine.btree import encode_key
 from repro.engine.index import (
     Index,
     IndexDef,
@@ -99,6 +102,111 @@ class TestMaterializedIndex:
         assert index.maintenance_count == 0
         index.insert_row((0, 1), (2, 2, "x"))
         assert index.maintenance_count == 1
+
+
+_NAN = float("nan")
+
+# Per column kind: the values a column may hold. "mixed" puts equal
+# values of different types (1, 1.0, True; 0.0, -0.0) in one column.
+_KINDS = {
+    "int": st.integers(-4, 4),
+    "float": st.floats(-4, 4, width=16)
+    | st.sampled_from([0.0, -0.0, _NAN]),
+    "text": st.text(alphabet="ab", max_size=3),
+    "bool": st.booleans(),
+    "mixed": st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, False, 2, 2.5]),
+}
+_COLUMNS = ("a", "b", "c", "d")
+
+
+@st.composite
+def _tables(draw):
+    """A heap (with deleted and reused slots) plus an index over it."""
+    kinds = [draw(st.sampled_from(sorted(_KINDS))) for _ in _COLUMNS]
+    values = [
+        st.none() | _KINDS[kind] if draw(st.booleans()) else _KINDS[kind]
+        for kind in kinds
+    ]
+    # Wide columns make 8-entry pages, so small tables get tall trees.
+    width = draw(st.sampled_from([None, 2000]))
+    partitions = draw(st.sampled_from([1, 3]))
+    schema = table(
+        "t",
+        [(c, T.INT) for c in _COLUMNS] + [("p", T.INT)],
+        widths={c: width for c in _COLUMNS} if width else None,
+        partition_count=partitions,
+        partition_key="p" if partitions > 1 else None,
+    )
+    heap = HeapFile(schema)
+    row = st.tuples(*values, st.integers(0, 20))
+    rids = [heap.insert(r) for r in draw(st.lists(row, max_size=250))]
+    if rids:
+        for rid in draw(st.lists(st.sampled_from(rids), unique=True)):
+            heap.delete(rid)
+    for r in draw(st.lists(row, max_size=20)):
+        heap.insert(r)
+    columns = draw(st.permutations(_COLUMNS))[: draw(st.integers(1, 3))]
+    scope = draw(st.sampled_from(list(IndexScope)))
+    definition = IndexDef(table="t", columns=tuple(columns), scope=scope)
+    return schema, heap, definition
+
+
+def _reference_trees(definition, schema, rows):
+    """Trees bulk-loaded from ``sorted((encode_key(key), rid))``."""
+    reference = Index(definition, schema)
+    local = definition.scope is IndexScope.LOCAL and schema.is_partitioned
+    position = schema.column_index("p")
+    buckets = [[] for _ in reference.trees]
+    for rid, row in rows:
+        tree = schema.partition_of(row[position]) if local else 0
+        buckets[tree].append((encode_key(reference.key_for_row(row)), rid))
+    for tree, entries in zip(reference.trees, buckets):
+        tree.bulk_load(entries)
+    return reference.trees
+
+
+def _leaves(tree):
+    return list(tree._iter_entries_structurally(tree._root))
+
+
+class TestBuildMatchesReference:
+    @given(_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_build_equals_reference_sort(self, case):
+        schema, heap, definition = case
+        rows = list(heap.scan())
+        index = Index(definition, schema)
+        index.build(rows)
+        reference = _reference_trees(definition, schema, rows)
+        assert len(index.trees) == len(reference)
+        for got, want in zip(index.trees, reference):
+            assert _leaves(got) == _leaves(want)
+            # Equal is not enough: 1, 1.0 and True (and 0.0, -0.0) are
+            # equal, but an index-only scan returns the stored value.
+            assert repr(_leaves(got)) == repr(_leaves(want))
+            assert (got.height, got.leaf_page_count, got.page_count) == (
+                want.height, want.leaf_page_count, want.page_count
+            )
+            assert got.entry_count == want.entry_count
+            got.check_invariants()
+
+    @pytest.mark.parametrize("scope", list(IndexScope))
+    def test_empty_table(self, scope):
+        schema = table(
+            "t", [("a", T.INT), ("p", T.INT)],
+            partition_count=3, partition_key="p",
+        )
+        index = Index(IndexDef(table="t", columns=("a",), scope=scope), schema)
+        index.build([])
+        for tree in index.trees:
+            assert _leaves(tree) == [[]]
+            assert (tree.height, tree.page_count) == (1, 1)
+            tree.check_invariants()
+
+    def test_equal_values_share_one_encoded_key(self):
+        index = build_index([(i, i % 3, "x") for i in range(60)])
+        keys = {id(key) for key, _rid in index.tree.scan_all()}
+        assert len(keys) == 3
 
 
 class TestShapes:

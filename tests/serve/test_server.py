@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import select
+import socket
 import threading
 import time
 
@@ -83,3 +86,57 @@ def test_unknown_op_is_an_error_not_a_crash(served):
         client.call({"op": "frobnicate"})
     # The server survives and keeps answering.
     assert client.ping()
+
+
+def test_dispatch_shutdown_does_not_stop_serving(tmp_path):
+    """Only the socket handler stops the server, after the reply."""
+    server = DaemonServer(TuningDaemon(), str(tmp_path / "s.sock"))
+    try:
+        reply = server.dispatch({"op": "shutdown"})
+        assert reply["ok"] and reply["op"] == "shutdown"
+        assert not server._stop_event.is_set()
+    finally:
+        server._server.server_close()
+
+
+class _ReplyCheckedEvent(threading.Event):
+    """A stop event that records, when it is set, whether the client
+    can already read the shutdown reply."""
+
+    def __init__(self):
+        super().__init__()
+        self.client = None
+        self.reply_readable = None
+
+    def set(self):
+        readable, _, _ = select.select([self.client], [], [], 0)
+        self.reply_readable = bool(readable)
+        super().set()
+
+
+def test_shutdown_reply_is_written_before_serving_stops(tmp_path):
+    for i in range(20):
+        socket_path = str(tmp_path / f"s{i}.sock")
+        server = DaemonServer(TuningDaemon(), socket_path)
+        event = _ReplyCheckedEvent()
+        server._stop_event = event
+        server._server.request_stop = event.set
+        results = []
+        thread = threading.Thread(
+            target=lambda: results.append(server.serve_forever()),
+            daemon=True,
+        )
+        thread.start()
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(30.0)
+            sock.connect(socket_path)
+            event.client = sock
+            sock.sendall(json.dumps({"op": "shutdown"}).encode() + b"\n")
+            # Read only once serving has stopped, so the stop event
+            # sees the reply still waiting in the socket if it was sent.
+            thread.join(timeout=30.0)
+            reply = json.loads(sock.makefile("rb").readline())
+        assert not thread.is_alive()
+        assert reply["ok"] and reply["op"] == "shutdown"
+        assert event.reply_readable, f"stopped before the reply (run {i})"
+        assert results == [server._shutdown_result]
