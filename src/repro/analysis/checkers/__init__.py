@@ -5,7 +5,7 @@ framework registry.  Third-party checkers can call
 :func:`repro.analysis.register` themselves.
 
 Per-file checkers run in the parallel file pass; the interprocedural
-checkers (fork-safety, stage-effects, cache-invalidation) run in the
+checkers (stage-effects, cache-invalidation) run in the
 project pass over the linked symbol/effect graph.
 """
 
@@ -15,7 +15,6 @@ from repro.analysis.checkers.cacheinvalidation import (
 from repro.analysis.checkers.cachekeys import CacheKeyChecker
 from repro.analysis.checkers.determinism import DeterminismChecker
 from repro.analysis.checkers.exhaustiveness import ExhaustivenessChecker
-from repro.analysis.checkers.forksafety import ForkSafetyChecker
 from repro.analysis.checkers.layers import LayerChecker
 from repro.analysis.checkers.mutation import FrozenMutationChecker
 from repro.analysis.checkers.stageeffects import StageEffectsChecker
@@ -25,7 +24,6 @@ __all__ = [
     "CacheKeyChecker",
     "DeterminismChecker",
     "ExhaustivenessChecker",
-    "ForkSafetyChecker",
     "FrozenMutationChecker",
     "LayerChecker",
     "StageEffectsChecker",

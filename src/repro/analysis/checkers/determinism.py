@@ -18,12 +18,6 @@ can be suppressed independently:
   ``bench/`` and ``repro/engine/metrics.py`` (home of the sanctioned
   :class:`~repro.engine.metrics.Stopwatch` helper).  Cost and
   estimator paths must be pure functions of their inputs.
-* ``unordered-merge`` — in the ordered layers: consuming futures with
-  ``concurrent.futures.as_completed`` (or ``wait`` on
-  ``FIRST_COMPLETED``).  Arrival order is worker scheduling, not
-  program order — merging results that way leaks OS timing into
-  best-config tie-breaks.  Keep the futures in a list and merge in
-  submission order (as ``core/mcts`` does for parallel rollouts).
 """
 
 from __future__ import annotations
@@ -86,7 +80,6 @@ class DeterminismChecker(Checker):
         violations.extend(_check_wall_clock(module))
         if module.layer in _ORDERED_LAYERS:
             violations.extend(_check_unordered_iteration(module))
-            violations.extend(_check_unordered_merge(module))
         return violations
 
 
@@ -239,61 +232,6 @@ def _check_wall_clock(module: ModuleInfo) -> Iterator[Violation]:
                     f"'{banned}' imported outside bench/; use "
                     "repro.engine.metrics.Stopwatch (the sanctioned "
                     "clock) or move the timing into bench/"
-                ),
-            )
-
-
-# ---------------------------------------------------------------------------
-# Futures merged in arrival order
-# ---------------------------------------------------------------------------
-
-
-def _check_unordered_merge(module: ModuleInfo) -> Iterator[Violation]:
-    """Flag ``as_completed`` / ``FIRST_COMPLETED`` merges.
-
-    Both yield results in *arrival* order, which is worker scheduling
-    — nondeterministic across runs even with every seed pinned.  A
-    deterministic merge keeps the futures in submission order and
-    resolves them in that order; anything else needs an explicit
-    re-ordering step and a suppression explaining it.
-    """
-    completed_aliases: Set[str] = {"as_completed"}
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.ImportFrom):
-            if (node.module or "").startswith("concurrent"):
-                for name in node.names:
-                    if name.name == "as_completed":
-                        completed_aliases.add(name.asname or name.name)
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        called: Optional[str] = None
-        if isinstance(func, ast.Name) and func.id in completed_aliases:
-            called = "as_completed()"
-        elif isinstance(func, ast.Attribute):
-            if func.attr == "as_completed":
-                called = "as_completed()"
-            elif func.attr == "wait" and any(
-                kw.arg == "return_when"
-                and isinstance(kw.value, (ast.Attribute, ast.Name))
-                and (
-                    getattr(kw.value, "attr", None) == "FIRST_COMPLETED"
-                    or getattr(kw.value, "id", None) == "FIRST_COMPLETED"
-                )
-                for kw in node.keywords
-            ):
-                called = "wait(..., return_when=FIRST_COMPLETED)"
-        if called is not None:
-            yield Violation(
-                rule="unordered-merge",
-                path=module.rel_path,
-                line=node.lineno,
-                message=(
-                    f"{called} merges futures in arrival order — "
-                    "worker scheduling leaks into results; keep "
-                    "futures in a list and merge in submission order "
-                    "(see core/mcts parallel rollouts)"
                 ),
             )
 

@@ -4,19 +4,18 @@ Per-function *local* summaries are extracted file by file (pure, so
 the runner caches them by content hash — see ``ANALYZER_VERSION``):
 attribute writes rooted at ``self``, writes rooted at other typed
 receivers, module-global writes, RNG draws, cache-invalidation calls,
-``parallel_safe`` reads, pool submissions, and every resolved or
-unresolved call.  The :class:`EffectIndex` then links summaries
-through :class:`~repro.analysis.graph.ProjectGraph` and answers the
-question the interprocedural checkers ask: *which functions does this
-entry point reach, through which chain, and what do they do?*
+and every resolved or unresolved call.  The :class:`EffectIndex` then
+links summaries through :class:`~repro.analysis.graph.ProjectGraph`
+and answers the question the interprocedural checkers ask: *which
+functions does this entry point reach, through which chain, and what
+do they do?*
 
 Two deliberate boundaries keep the traversal honest:
 
 * **Protocol boundary** — a call on a receiver typed as a protocol
   (or a class structurally implementing one) is classified against
   the protocol's method table, never traversed into an arbitrary
-  implementation.  The ``parallel_safe`` declaration of a backend
-  vouches for its internals.
+  implementation.
 * **Cache boundary** — a call through an attribute whose name marks
   it as a cache/memo (``self._cost_cache.put(...)``) is cache
   maintenance by declaration; it is neither traversed nor treated as
@@ -47,7 +46,7 @@ from repro.analysis.graph import (
 
 #: Bump when extraction output changes shape or semantics; cached
 #: summaries from other versions are discarded wholesale.
-ANALYZER_VERSION = 1
+ANALYZER_VERSION = 2
 
 #: Attribute-name fragments that mark an attribute as cache/memo
 #: state (mirrors the cache-key checker's convention).
@@ -211,9 +210,6 @@ class FunctionEffects:
     global_writes: List[Tuple[str, int]] = field(default_factory=list)
     rng_draws: List[int] = field(default_factory=list)
     invalidate_calls: List[Tuple[str, int]] = field(default_factory=list)
-    reads_parallel_safe: bool = False
-    constructs_pool: List[int] = field(default_factory=list)
-    pool_submits: List[Tuple[str, int]] = field(default_factory=list)
     calls: List[CallRef] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, object]:
@@ -230,9 +226,6 @@ class FunctionEffects:
             "global_writes": [list(g) for g in self.global_writes],
             "rng_draws": list(self.rng_draws),
             "invalidate_calls": [list(c) for c in self.invalidate_calls],
-            "reads_parallel_safe": self.reads_parallel_safe,
-            "constructs_pool": list(self.constructs_pool),
-            "pool_submits": [list(s) for s in self.pool_submits],
             "calls": [c.to_dict() for c in self.calls],
         }
 
@@ -264,14 +257,6 @@ class FunctionEffects:
             invalidate_calls=[
                 (str(c[0]), int(c[1]))
                 for c in data.get("invalidate_calls", [])  # type: ignore[union-attr]
-            ],
-            reads_parallel_safe=bool(data.get("reads_parallel_safe", False)),
-            constructs_pool=[
-                int(n) for n in data.get("constructs_pool", [])  # type: ignore[union-attr]
-            ],
-            pool_submits=[
-                (str(s[0]), int(s[1]))
-                for s in data.get("pool_submits", [])  # type: ignore[union-attr]
             ],
             calls=[
                 CallRef.from_dict(c)
@@ -480,13 +465,6 @@ class _FunctionExtractor(ast.NodeVisitor):
 
     # -- calls and reads ----------------------------------------------------
 
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr == "parallel_safe" and isinstance(
-            node.ctx, ast.Load
-        ):
-            self.effects.reads_parallel_safe = True
-        self.generic_visit(node)
-
     def visit_Call(self, node: ast.Call) -> None:
         self._handle_call(node)
         self.generic_visit(node)
@@ -495,7 +473,7 @@ class _FunctionExtractor(ast.NodeVisitor):
         line = node.lineno
         callee = node.func
         if isinstance(callee, ast.Name):
-            self._handle_name_call(callee.id, node, line)
+            self._handle_name_call(callee.id, line)
             return
         if not isinstance(callee, ast.Attribute):
             self.effects.calls.append(
@@ -505,25 +483,8 @@ class _FunctionExtractor(ast.NodeVisitor):
         method = callee.attr
         receiver = callee.value
 
-        if method in ("ProcessPoolExecutor", "Pool") and isinstance(
-            receiver, ast.Name
-        ):
-            self.effects.constructs_pool.append(line)
-
         if method in INVALIDATE_METHODS:
             self.effects.invalidate_calls.append((method, line))
-
-        if method == "submit" and node.args and isinstance(
-            node.args[0], ast.Name
-        ):
-            submitted = node.args[0].id
-            if submitted in self.symbols.functions:
-                self.effects.pool_submits.append(
-                    (
-                        self.symbols.functions[submitted].qualname,
-                        line,
-                    )
-                )
 
         # RNG draws: typed receiver or the repo's ``rng`` naming idiom.
         if method in RNG_METHODS and self._looks_like_rng(receiver):
@@ -584,33 +545,7 @@ class _FunctionExtractor(ast.NodeVisitor):
             CallRef(kind="unknown", line=line, name=method)
         )
 
-    def _handle_name_call(
-        self, name: str, node: ast.Call, line: int
-    ) -> None:
-        if name == "getattr" and len(node.args) >= 2:
-            probe = node.args[1]
-            if (
-                isinstance(probe, ast.Constant)
-                and probe.value == "parallel_safe"
-            ):
-                self.effects.reads_parallel_safe = True
-        if name in ("ProcessPoolExecutor", "Pool"):
-            self.effects.constructs_pool.append(line)
-            for keyword in node.keywords:
-                if keyword.arg == "initializer" and isinstance(
-                    keyword.value, ast.Name
-                ):
-                    init_name = keyword.value.id
-                    if init_name in self.symbols.functions:
-                        self.effects.pool_submits.append(
-                            (
-                                self.symbols.functions[
-                                    init_name
-                                ].qualname
-                                + "#initializer",
-                                line,
-                            )
-                        )
+    def _handle_name_call(self, name: str, line: int) -> None:
         if name in INVALIDATE_METHODS:
             self.effects.invalidate_calls.append((name, line))
         if name in self.symbols.functions:
@@ -906,13 +841,3 @@ class EffectIndex:
     def iter_functions(self) -> Iterator[FunctionEffects]:
         for qualname in sorted(self.functions):
             yield self.functions[qualname]
-
-    def pool_entry_points(self) -> List[Tuple[str, FunctionEffects]]:
-        """(submitted qualname, submitting function) pairs, sorted."""
-        entries: List[Tuple[str, FunctionEffects]] = []
-        for effects in self.iter_functions():
-            for target, _line in effects.pool_submits:
-                if target.endswith("#initializer"):
-                    continue
-                entries.append((target, effects))
-        return sorted(entries, key=lambda pair: pair[0])

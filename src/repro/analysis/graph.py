@@ -1,9 +1,8 @@
 """Project-wide symbol table and call resolution.
 
 The per-file checkers in :mod:`repro.analysis.checkers` see one
-module at a time; the interprocedural rules (fork-safety,
-stage-effects, cache-invalidation) need to follow calls across
-modules.  This module provides the *symbol* half of that: per-file
+module at a time; the interprocedural rules (stage-effects,
+cache-invalidation) need to follow calls across modules.  This module provides the *symbol* half of that: per-file
 extraction of classes, functions, imports and attribute types into
 JSON-serializable :class:`ModuleSymbols`, and a :class:`ProjectGraph`
 that links them — class hierarchy, method lookup through inheritance,

@@ -126,17 +126,16 @@ def _summarise(result: object, indent: str = "  ") -> None:
 
 
 def run_perf(
-    target: str, iterations: int, rounds: int, out: str, workers: int,
+    target: str, iterations: int, rounds: int, out: str,
     queries: int = 4000,
 ) -> int:
     """Dispatch a performance benchmark (``--perf mcts|ingest``)."""
     if target == "mcts":
         from repro.bench.perf import render_mcts_perf, run_mcts_perf
 
-        print("=== perf: MCTS costing modes (full/delta/parallel) ===")
+        print("=== perf: MCTS costing modes (full/delta/vectorized) ===")
         report = run_mcts_perf(
-            iterations=iterations, rounds=rounds, out_path=out,
-            workers=workers,
+            iterations=iterations, rounds=rounds, out_path=out
         )
         for line in render_mcts_perf(report):
             print("  " + line)
@@ -227,11 +226,6 @@ def main(argv: List[str] | None = None) -> int:
         help="run a performance benchmark instead of an experiment",
     )
     parser.add_argument(
-        "--workers", type=int, default=4,
-        help="rollout-costing processes for --perf mcts (capped at "
-             "the visible core count; default 4)",
-    )
-    parser.add_argument(
         "--backend",
         choices=available_backends(),
         help="run a full tuning demo on the chosen backend adapter",
@@ -320,13 +314,11 @@ def main(argv: List[str] | None = None) -> int:
             parser.error("--iterations must be >= 1")
         if args.rounds < 1:
             parser.error("--rounds must be >= 1")
-        if args.workers < 1:
-            parser.error("--workers must be >= 1")
         if args.queries < 1:
             parser.error("--queries must be >= 1")
         out = args.out or f"BENCH_{args.perf}.json"
         return run_perf(
-            args.perf, args.iterations, args.rounds, out, args.workers,
+            args.perf, args.iterations, args.rounds, out,
             queries=args.queries,
         )
     if args.backend:

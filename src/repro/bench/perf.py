@@ -8,24 +8,17 @@ over several tuning rounds on TPC-C in three modes:
   per-statement what-if overlays (the pre-delta behaviour);
 * **delta** — incremental re-costing with the per-statement scalar
   estimator path pinned (``vectorized=False``): the delta baseline as
-  it shipped, before batch costing and worker pools existed;
-* **parallel** — everything on: delta costing, vectorized batch
-  costing (one overlay window + one ``model.predict`` per evaluation
-  batch), and ``--workers`` rollout costing processes when the
-  machine has more than one core.
+  it shipped, before batch costing existed;
+* **vectorized** — delta costing plus vectorized batch costing (one
+  overlay window + one ``model.predict`` per evaluation batch).
 
 The estimator caches are cleared between rounds in every mode,
 emulating the model retrain that normally happens there. Because
-delta costs are bitwise-identical to full recomputation — and the
-parallel merge happens in submission order on a parent-side RNG — all
-three modes follow the same search trajectory under the same seed.
-``identical_result`` asserts exactly that; the comparison measures
-pure bookkeeping overhead, never different searches.
-
-The ``machine`` block keeps the numbers honest: ``workers_effective``
-is capped at the visible core count (a rollout-costing pool on a
-single-core container is pure fork overhead), so ``speedup_parallel``
-only reflects process parallelism on hardware that has it.
+delta and batch costs are bitwise-identical to full scalar
+recomputation, all three modes follow the same search trajectory
+under the same seed. ``identical_result`` asserts exactly that; the
+comparison measures pure bookkeeping overhead, never different
+searches.
 
 ``python -m repro.bench --perf ingest`` streams the same TPC-C query
 batch through the observe-side hot path (SQL2Template matching plus a
@@ -83,7 +76,6 @@ def _run_mode(
     rounds: int,
     seed: int,
     observe_queries: int,
-    workers: int = 1,
 ) -> Dict:
     db, templates, candidates = _build_workload(observe_queries)
     if mode == "full":
@@ -93,15 +85,15 @@ def _run_mode(
         estimator = BenefitEstimator(
             db, feature_cache_size=0, vectorized=False
         )
-        delta, mode_workers = False, 1
+        delta = False
     elif mode == "delta":
         # The delta baseline as shipped: incremental re-costing with
         # the scalar per-statement estimator path pinned.
         estimator = BenefitEstimator(db, vectorized=False)
-        delta, mode_workers = True, 1
-    elif mode == "parallel":
+        delta = True
+    elif mode == "vectorized":
         estimator = BenefitEstimator(db)
-        delta, mode_workers = True, workers
+        delta = True
     else:  # pragma: no cover - internal misuse
         raise ValueError(f"unknown bench mode {mode!r}")
     selector = MctsIndexSelector(
@@ -111,7 +103,6 @@ def _run_mode(
         patience=10**9,  # never stop early: fixed work per round
         rng=random.Random(seed),
         delta_costing=delta,
-        workers=mode_workers,
     )
     existing = db.index_defs()
     protected = [d for d in existing if d.unique]
@@ -135,7 +126,6 @@ def _run_mode(
     return {
         "mode": mode,
         "wall_seconds": wall_seconds,
-        "workers_used": max(r.workers_used for r in results),
         "plans_computed": estimator.plans_computed,
         "model_predictions": estimator.estimate_calls,
         "evaluations": sum(r.evaluations for r in results),
@@ -154,28 +144,21 @@ def run_mcts_perf(
     out_path: str = "BENCH_mcts.json",
     seed: int = 17,
     observe_queries: int = 400,
-    workers: int = 4,
 ) -> Dict:
     """Time the three costing modes and write the comparison JSON."""
-    cpu_count = os.cpu_count() or 1
-    # A rollout-costing pool wider than the machine is pure fork
-    # overhead; the bench never oversubscribes (the selector itself
-    # honours whatever the caller asks for).
-    workers_effective = max(min(workers, cpu_count), 1)
     full = _run_mode("full", iterations, rounds, seed, observe_queries)
     delta = _run_mode("delta", iterations, rounds, seed, observe_queries)
-    parallel = _run_mode(
-        "parallel", iterations, rounds, seed, observe_queries,
-        workers=workers_effective,
+    vectorized = _run_mode(
+        "vectorized", iterations, rounds, seed, observe_queries
     )
 
     identical = (
         full["best_benefit"]
         == delta["best_benefit"]
-        == parallel["best_benefit"]
+        == vectorized["best_benefit"]
         and full["best_config"]
         == delta["best_config"]
-        == parallel["best_config"]
+        == vectorized["best_config"]
     )
     report = {
         "benchmark": "mcts-costing-modes",
@@ -183,22 +166,18 @@ def run_mcts_perf(
         "iterations": iterations,
         "rounds": rounds,
         "seed": seed,
-        "machine": {
-            "cpu_count": cpu_count,
-            "workers_requested": workers,
-            "workers_effective": workers_effective,
-        },
+        "machine": {"cpu_count": os.cpu_count() or 1},
         "full": full,
         "delta": delta,
-        "parallel": parallel,
+        "vectorized": vectorized,
         "speedup_wall": _ratio(
             full["wall_seconds"], delta["wall_seconds"]
         ),
-        "speedup_parallel": _ratio(
-            delta["wall_seconds"], parallel["wall_seconds"]
+        "speedup_vectorized": _ratio(
+            delta["wall_seconds"], vectorized["wall_seconds"]
         ),
-        "speedup_parallel_vs_full": _ratio(
-            full["wall_seconds"], parallel["wall_seconds"]
+        "speedup_vectorized_vs_full": _ratio(
+            full["wall_seconds"], vectorized["wall_seconds"]
         ),
         "plan_reduction": _ratio(
             full["plans_computed"], delta["plans_computed"]
@@ -220,19 +199,16 @@ def _ratio(full: float, delta: float) -> float:
 
 def render_mcts_perf(report: Dict) -> List[str]:
     """Human-readable lines for the CLI."""
-    machine = report["machine"]
     lines = [
         f"workload: {report['workload']}  "
         f"iterations: {report['iterations']} over "
         f"{report['rounds']} rounds",
-        f"machine: {machine['cpu_count']} cores; workers "
-        f"{machine['workers_requested']} requested, "
-        f"{machine['workers_effective']} effective",
+        f"machine: {report['machine']['cpu_count']} cores",
     ]
-    for mode in ("full", "delta", "parallel"):
+    for mode in ("full", "delta", "vectorized"):
         m = report[mode]
         lines.append(
-            f"{mode:8s} {m['wall_seconds']:8.2f}s  "
+            f"{mode:10s} {m['wall_seconds']:8.2f}s  "
             f"plans={m['plans_computed']:<6d} "
             f"predictions={m['model_predictions']:<6d} "
             f"cost-cache hit rate="
@@ -240,8 +216,8 @@ def render_mcts_perf(report: Dict) -> List[str]:
         )
     lines.append(
         f"speedup: full/delta {report['speedup_wall']:.2f}x, "
-        f"delta/parallel {report['speedup_parallel']:.2f}x, "
-        f"full/parallel {report['speedup_parallel_vs_full']:.2f}x"
+        f"delta/vectorized {report['speedup_vectorized']:.2f}x, "
+        f"full/vectorized {report['speedup_vectorized_vs_full']:.2f}x"
     )
     lines.append(
         "identical result: " + ("yes" if report["identical_result"]

@@ -89,7 +89,6 @@ class AutoIndexAdvisor:
         delta_costing: bool = True,
         mcts_deadline_seconds: Optional[float] = None,
         mcts_max_evaluations: Optional[int] = None,
-        mcts_workers: int = 1,
         pipeline: Optional[TuningPipeline] = None,
         incremental_diagnosis: bool = True,
         apply_mode: str = "auto",
@@ -128,7 +127,6 @@ class AutoIndexAdvisor:
             delta_costing=delta_costing,
             deadline_seconds=mcts_deadline_seconds,
             max_evaluations=mcts_max_evaluations,
-            workers=mcts_workers,
         )
         self.diagnosis = IndexDiagnosis(
             db, self.store, self.generator,

@@ -360,9 +360,8 @@ class BenefitEstimator:
                 f"what-if fallback unusable ({reason})"
             )
         self.fallbacks += 1
-        # lint: ignore[fork-safety] -- degradation inside a pool worker is caught by _pool_cost_job's fallbacks guard: the job fails and the parent recomputes in-process, where this write is visible
         self.degraded_reason = reason
-        self.model = WhatIfCostModel()  # lint: ignore[fork-safety] -- same guard as degraded_reason above: a worker-side model swap fails the job instead of silently diverging from the parent
+        self.model = WhatIfCostModel()
         # The cost tier is model-dependent; predictions cached from
         # the demoted model must not mix with fallback predictions.
         self._cache.clear()
@@ -378,7 +377,7 @@ class BenefitEstimator:
         if version != self._catalog_version:
             self._cache.clear()
             self._feature_cache.clear()
-            self._catalog_version = version  # lint: ignore[fork-safety] -- version-guard bookkeeping: workers never perform DDL (this rule proves it), so the forked backend's version cannot move and this write is dead in workers
+            self._catalog_version = version
 
     def query_cost(
         self,

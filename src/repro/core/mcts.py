@@ -11,29 +11,20 @@ where the node benefit ``B(v)`` is the best (estimated) workload cost
 reduction seen in ``v``'s subtree, normalised by the baseline workload
 cost, and ``F`` counts node visits.
 
-The tree persists across tuning rounds: on a new workload the tree is
-re-rooted at the node matching the now-current configuration and all
-cached benefits are invalidated (epoch bump), so previous structure is
-reused but estimates are refreshed — the paper's incremental update.
-
-Scale-out evaluation (``workers > 1``): the costing of each
-iteration's rollout configurations is dispatched to a forked
-``concurrent.futures`` process pool. Determinism is preserved by
-construction — rollout *generation* stays in the parent and consumes
-``self.rng`` in exactly the serial order, only the (rng-free) costing
-runs in workers, and results are merged in submission order — so
-``seed=17, workers=N`` reproduces ``workers=1`` bit for bit. The pool
-engages only when the backend declares itself fork-safe and no fault
-injector is active (chaos runs keep the serial retry-ladder
-semantics).
+The tree persists across tuning rounds. Each search bumps the tree's
+epoch and re-roots it at the node matching the now-current
+configuration. The epoch marks only each node's own benefit
+(``own_benefit``) and per-template cost array (``costs``) stale, so
+both are recomputed against the new workload before use. ``visits``,
+``subtree_best`` and ``parent`` carry over unchanged from earlier
+rounds. The tree lives only in memory and is not checkpointed, so a
+restarted advisor starts from an empty tree.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -47,44 +38,6 @@ from repro.engine.metrics import CacheStats, Stopwatch
 IndexKey = Tuple[str, Tuple[str, ...]]
 
 DEFAULT_GAMMA = 0.4
-
-#: Selector installed in each pool worker at fork time. Workers
-#: inherit the parent's search-scoped state (universe, templates,
-#: root reference, estimator caches) through the fork — nothing is
-#: pickled — and only ever *read* it: a job is pure costing.
-_WORKER_SELECTOR: Optional["MctsIndexSelector"] = None
-
-
-def _pool_initializer(selector: "MctsIndexSelector") -> None:
-    global _WORKER_SELECTOR
-    _WORKER_SELECTOR = selector
-
-
-def _pool_cost_job(config_keys: Tuple[IndexKey, ...]):
-    """Cost one configuration against the root reference.
-
-    Runs in a forked worker. Delta costing against the root is
-    bitwise-identical to costing against any other fresh reference
-    (the estimator's documented guarantee), so the parent is free to
-    merge these numbers exactly as if it had computed them itself.
-    """
-    selector = _WORKER_SELECTOR
-    assert selector is not None, "pool worker not initialised"
-    fallbacks_before = selector.estimator.fallbacks
-    result = selector._cost_of(frozenset(config_keys), selector._root_ref)
-    if selector.estimator.fallbacks != fallbacks_before:
-        # The estimator degraded mid-job: the demotion (model swap,
-        # fallback counter, cache flush) happened in this fork and is
-        # invisible to the parent, whose estimator would keep serving
-        # the healthy model. Discard the result and fail the job; the
-        # parent abandons the pool and recomputes in-process, where
-        # the degradation applies to the estimator everyone sees.
-        raise RuntimeError(
-            "estimator degraded inside a pool worker; "
-            "recompute in the parent"
-        )
-    return result
-
 
 @dataclass(frozen=True)
 class Action:
@@ -136,14 +89,6 @@ class PolicyNode:
         self.epoch = -1
         self.expanded = False
 
-    def invalidate(self) -> None:
-        """Mark this node's estimates stale (workload changed)."""
-        self.own_benefit = None
-        self.costs = None
-        self.costs_epoch = -1
-        self.subtree_best = -math.inf
-        self.epoch = -1
-
 
 @dataclass
 class SearchResult:
@@ -159,10 +104,6 @@ class SearchResult:
     plans_computed: int = 0
     cache_stats: Dict[str, CacheStats] = field(default_factory=dict)
     deadline_hit: bool = False
-    #: Process-pool width the rollout costing actually ran with (1 =
-    #: serial; the pool gates off under fault injection or on a
-    #: backend that is not fork-safe).
-    workers_used: int = 1
 
     @property
     def relative_improvement(self) -> float:
@@ -189,7 +130,7 @@ class PolicyTree:
         return node
 
     def new_epoch(self) -> None:
-        """Invalidate all cached benefits (workload changed)."""
+        """Mark every node's own benefit and costs stale (workload changed)."""
         self.epoch += 1
 
     def node_count(self) -> int:
@@ -227,7 +168,6 @@ class MctsIndexSelector:
         delta_costing: bool = True,
         deadline_seconds: Optional[float] = None,
         max_evaluations: Optional[int] = None,
-        workers: int = 1,
     ):
         self.estimator = estimator
         self.gamma = gamma
@@ -247,11 +187,6 @@ class MctsIndexSelector:
         # is the convenience fallback.
         self.rng = rng if rng is not None else random.Random(seed)
         self.delta_costing = delta_costing
-        # Rollout costing fan-out. Results are identical for every
-        # worker count (see the module docstring); the pool is a pure
-        # wall-clock lever on multi-core hosts.
-        self.workers = max(int(workers), 1)
-        self._pool: Optional[ProcessPoolExecutor] = None
         self.tree = PolicyTree()
         # Search-scoped state (reset per round).
         self._universe: Dict[IndexKey, IndexDef] = {}
@@ -323,32 +258,28 @@ class MctsIndexSelector:
             Stopwatch() if self.deadline_seconds is not None else None
         )
 
-        workers_used = self._open_pool()
-        try:
-            for _ in range(self.iterations):
-                if timer is not None and (
-                    timer.elapsed() >= self.deadline_seconds
-                ):
-                    deadline_hit = True
-                    break
-                if self.max_evaluations is not None and (
-                    self._evaluations >= self.max_evaluations
-                ):
-                    deadline_hit = True
-                    break
-                iterations_run += 1
-                previous_best = self._best_benefit
-                node = self._select(root)
-                benefit = self._evaluate(node)
-                self._backpropagate(node, benefit)
-                if self._best_benefit > previous_best + 1e-9:
-                    stale_rounds = 0
-                else:
-                    stale_rounds += 1
-                if stale_rounds >= self.patience:
-                    break
-        finally:
-            self._close_pool()
+        for _ in range(self.iterations):
+            if timer is not None and (
+                timer.elapsed() >= self.deadline_seconds
+            ):
+                deadline_hit = True
+                break
+            if self.max_evaluations is not None and (
+                self._evaluations >= self.max_evaluations
+            ):
+                deadline_hit = True
+                break
+            iterations_run += 1
+            previous_best = self._best_benefit
+            node = self._select(root)
+            benefit = self._evaluate(node)
+            self._backpropagate(node, benefit)
+            if self._best_benefit > previous_best + 1e-9:
+                stale_rounds = 0
+            else:
+                stale_rounds += 1
+            if stale_rounds >= self.patience:
+                break
 
         if not deadline_hit:
             # Final polish (Section III workflow): prune redundant/
@@ -407,56 +338,7 @@ class MctsIndexSelector:
             plans_computed=self.estimator.plans_computed,
             cache_stats=self.estimator.cache_stats(),
             deadline_hit=deadline_hit,
-            workers_used=workers_used,
         )
-
-    # ------------------------------------------------------------------
-    # rollout process pool
-    # ------------------------------------------------------------------
-
-    def parallel_available(self) -> bool:
-        """Whether rollout costing may fan out to a process pool.
-
-        Requires more than one worker, no active fault injector
-        (chaos runs keep per-statement retry-ladder semantics in one
-        process), a backend that declares itself safe to use from a
-        forked child (``parallel_safe``), and an OS with the ``fork``
-        start method — workers must inherit the search state by
-        forking, never by pickling.
-        """
-        return (
-            self.workers > 1
-            and self.estimator.faults is None
-            and getattr(self.estimator.backend, "parallel_safe", False)
-            and "fork" in multiprocessing.get_all_start_methods()
-        )
-
-    def _open_pool(self) -> int:
-        """Fork the rollout-costing pool for this search, if allowed.
-
-        Called after the search-scoped state (universe, candidates,
-        templates, root reference) is in place so forked workers
-        inherit a complete snapshot. Returns the effective width.
-        """
-        self._pool = None
-        if not self.parallel_available():
-            return 1
-        try:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_pool_initializer,
-                initargs=(self,),
-            )
-        except (OSError, ValueError):
-            self._pool = None
-            return 1
-        return self.workers
-
-    def _close_pool(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
 
     # ------------------------------------------------------------------
     # the four MCTS steps
@@ -565,13 +447,7 @@ class MctsIndexSelector:
         only templates touching one table get re-costed); rollouts
         then delta against the node, whose costs are fresh after its
         own evaluation.
-
-        With an active pool the iteration's configurations are costed
-        concurrently instead (:meth:`_evaluate_parallel`); rollout
-        generation still runs here, on ``self.rng``, in serial order.
         """
-        if self._pool is not None:
-            return self._evaluate_parallel(node)
         ref = self._ref_for(node.parent)
         if node.own_benefit is None or node.epoch != self.tree.epoch:
             node.own_benefit = self._config_benefit(node.config, ref)
@@ -581,77 +457,6 @@ class MctsIndexSelector:
         for _ in range(self.rollouts):
             best = max(best, self._rollout(node.config, rollout_ref))
         return best
-
-    def _evaluate_parallel(self, node: PolicyNode) -> float:
-        """Pool variant of :meth:`_evaluate`: same numbers, same order.
-
-        Rollout configurations are generated serially from
-        ``self.rng`` (the exact draw sequence of the serial path —
-        generation and costing commute because costing never touches
-        the rng), their costing is dispatched to the forked pool, and
-        results are merged in submission order through the same
-        bookkeeping (:meth:`_record_benefit`) the serial path uses.
-        Budget-violating configurations are rejected at submission
-        time, mirroring the serial short-circuit. A worker failure
-        degrades that job (and the rest of the search) to in-process
-        costing — identical values, just serial again.
-        """
-        need_own = (
-            node.own_benefit is None or node.epoch != self.tree.epoch
-        )
-        configs: List[FrozenSet[IndexKey]] = []
-        if need_own:
-            configs.append(node.config)
-        for _ in range(self.rollouts):
-            configs.append(self._rollout_config(node.config, self.rng))
-
-        jobs = []
-        for config in configs:
-            pool = self._pool
-            over_budget = self._budget is not None and (
-                self._config_size(config) > self._budget
-            )
-            if over_budget or pool is None:
-                jobs.append((config, None, over_budget))
-            else:
-                try:
-                    future = pool.submit(_pool_cost_job, tuple(config))
-                except Exception:
-                    self._abandon_pool()
-                    future = None
-                jobs.append((config, future, False))
-
-        benefits: List[float] = []
-        # Submission-order merge: never as_completed — arrival order
-        # would leak worker scheduling into best-config tie-breaks.
-        for config, future, over_budget in jobs:
-            if over_budget:
-                benefits.append(-math.inf)
-                continue
-            self._evaluations += 1
-            if future is not None:
-                try:
-                    cost, costs = future.result()
-                except Exception:
-                    self._abandon_pool()
-                    future = None
-            if future is None:
-                cost, costs = self._cost_of(config, self._root_ref)
-            benefits.append(self._record_benefit(config, cost, costs))
-
-        position = 0
-        if need_own:
-            node.own_benefit = benefits[0]
-            node.epoch = self.tree.epoch
-            position = 1
-        best = node.own_benefit
-        for benefit in benefits[position:]:
-            best = max(best, benefit)
-        return best
-
-    def _abandon_pool(self) -> None:
-        """A worker died: finish the search serially (same results)."""
-        self._close_pool()
 
     def _ref_for(
         self, node: Optional[PolicyNode]
@@ -671,20 +476,9 @@ class MctsIndexSelector:
         ref: Optional[Tuple[FrozenSet[IndexKey], np.ndarray]] = None,
     ) -> float:
         """Randomly extend a configuration and cost the result."""
-        final = self._rollout_config(config, self.rng)
-        return self._config_benefit(final, ref)
-
-    def _rollout_config(
-        self, config: FrozenSet[IndexKey], rng: random.Random
-    ) -> FrozenSet[IndexKey]:
-        """Generate one rollout's final configuration (no costing).
-
-        Kept separate from costing so the parallel path can generate
-        on the parent's rng stream while workers cost the results.
-        """
         current = set(config)
         pool = [c for c in self._candidates if c.key not in current]
-        rng.shuffle(pool)
+        self.rng.shuffle(pool)
         steps = 0
         # Per the paper, rollouts may extend until they "arrive the
         # storage constraint"; sampling a random depth per rollout
@@ -694,7 +488,7 @@ class MctsIndexSelector:
         if self.rollout_depth is not None:
             max_steps = self.rollout_depth
         else:
-            max_steps = rng.randint(0, len(pool)) if pool else 0
+            max_steps = self.rng.randint(0, len(pool)) if pool else 0
         for candidate in pool:
             if steps >= max_steps:
                 break
@@ -709,9 +503,9 @@ class MctsIndexSelector:
         # sorted(): rng.choice picks by position, so the candidate
         # order must not depend on set hashing.
         removable = sorted(k for k in current if k not in self._protected)
-        if removable and rng.random() < 0.3:
-            current.discard(rng.choice(removable))
-        return frozenset(current)
+        if removable and self.rng.random() < 0.3:
+            current.discard(self.rng.choice(removable))
+        return self._config_benefit(frozenset(current), ref)
 
     def _backpropagate(self, node: PolicyNode, benefit: float) -> None:
         """Step 3 — push visits and max-benefit up the path."""
@@ -771,21 +565,6 @@ class MctsIndexSelector:
         if ref is None:
             ref = self._root_ref
         cost, costs = self._cost_of(config, ref)
-        return self._record_benefit(config, cost, costs)
-
-    def _record_benefit(
-        self,
-        config: FrozenSet[IndexKey],
-        cost: float,
-        costs: np.ndarray,
-    ) -> float:
-        """Fold one costed configuration into the search state.
-
-        Shared by the serial path and the pool merge so both perform
-        the identical bookkeeping sequence: registry-node refresh
-        (cost arrays are the delta references for the node's
-        children), then best-so-far tracking.
-        """
         benefit = self._baseline_cost - cost
         # Keep the registry node's own estimate (and cost array, the
         # delta reference for its children) fresh.

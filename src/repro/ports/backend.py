@@ -104,9 +104,6 @@ class TuningBackend(Protocol):
     name: str
     monitor: WorkloadMonitor
     faults: Optional[FaultInjector]
-    #: True when the backend can be used from a forked child process
-    #: (MCTS gates its parallel rollout costing on this).
-    parallel_safe: bool
 
     # -- parse / fingerprint ------------------------------------------------
 

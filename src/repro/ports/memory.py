@@ -28,9 +28,6 @@ class MemoryBackend(Database):
     """The in-process engine speaking :class:`TuningBackend`."""
 
     name = "memory"
-    #: Pure in-process state — a forked MCTS worker gets a coherent
-    #: copy-on-write snapshot, so parallel rollout costing is safe.
-    parallel_safe = True
 
     def __init__(
         self,

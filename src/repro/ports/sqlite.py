@@ -153,9 +153,6 @@ class SqliteBackend:
     """A real SQLite database speaking :class:`TuningBackend`."""
 
     name = "sqlite"
-    #: An sqlite3 connection must not be used across a fork; MCTS
-    #: keeps rollout costing serial on this backend.
-    parallel_safe = False
 
     def __init__(
         self,

@@ -412,72 +412,3 @@ def test_layer_ports_placement():
     from repro.ports.backend import TuningBackend
     """
     assert _violations(bad_down, "src/repro/engine/planner2.py", "layer")
-
-
-# ---------------------------------------------------------------------------
-# determinism: unordered-merge
-# ---------------------------------------------------------------------------
-
-
-def test_as_completed_flagged_in_core():
-    bad = """
-    from concurrent.futures import as_completed
-
-    def merge(futures):
-        return [f.result() for f in as_completed(futures)]
-    """
-    found = _violations(
-        bad, "src/repro/core/pool.py", "unordered-merge"
-    )
-    assert len(found) == 1
-    assert "submission order" in found[0].message
-
-
-def test_as_completed_attribute_call_flagged():
-    bad = """
-    import concurrent.futures
-
-    def merge(futures):
-        for f in concurrent.futures.as_completed(futures):
-            yield f.result()
-    """
-    assert _violations(
-        bad, "src/repro/engine/pool.py", "unordered-merge"
-    )
-
-
-def test_wait_first_completed_flagged():
-    bad = """
-    from concurrent import futures
-
-    def first(fs):
-        done, _ = futures.wait(
-            fs, return_when=futures.FIRST_COMPLETED
-        )
-        return done
-    """
-    assert _violations(
-        bad, "src/repro/core/pool.py", "unordered-merge"
-    )
-
-
-def test_submission_order_merge_passes():
-    good = """
-    def merge(futures):
-        return [f.result() for f in futures]
-    """
-    assert not _violations(
-        good, "src/repro/core/pool.py", "unordered-merge"
-    )
-
-
-def test_as_completed_allowed_outside_ordered_layers():
-    ok = """
-    from concurrent.futures import as_completed
-
-    def merge(futures):
-        return [f.result() for f in as_completed(futures)]
-    """
-    assert not _violations(
-        ok, "src/repro/bench/pool.py", "unordered-merge"
-    )

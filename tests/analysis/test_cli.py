@@ -90,57 +90,46 @@ def test_missing_target_exits_two(tmp_path):
     assert result.returncode == 2
 
 
-_FORK_BAD_TREE = """\
-import random
+_STAGE_BAD_TREE = """\
 from typing import Protocol
-from concurrent.futures import ProcessPoolExecutor
 
 
 class TuningBackend(Protocol):
-    parallel_safe: bool
-
     def create_index(self, definition) -> None: ...
     def whatif_cost(self, sql) -> float: ...
 
 
-class SearchState:
-    def __init__(self, seed: int):
-        self.best = None
-        self.rng = random.Random(seed)
+class Ctx:
+    def __init__(self, backend: TuningBackend):
+        self.backend = backend
 
 
-def cost_job(state: SearchState, keys):
-    state.best = keys
-    return 0.0
-
-
-def fan_out(backend: TuningBackend, state, items):
-    if not getattr(backend, "parallel_safe", False):
-        return []
-    pool = ProcessPoolExecutor()
-    return [pool.submit(cost_job, state, i) for i in items]
+class ObserveStage:
+    # effect: allows[]
+    def run(self, ctx: Ctx) -> None:
+        ctx.backend.create_index("i")
 """
 
 
-def _fork_project(tmp_path):
+def _stage_project(tmp_path):
     (tmp_path / "pyproject.toml").write_text("[project]\nname = 'x'\n")
     pkg = tmp_path / "src" / "repro" / "core"
     pkg.mkdir(parents=True)
-    (pkg / "search.py").write_text(_FORK_BAD_TREE)
+    (pkg / "pipeline.py").write_text(_STAGE_BAD_TREE)
     return tmp_path
 
 
 def test_scope_splits_file_and_project_passes(tmp_path):
-    root = _fork_project(tmp_path)
+    root = _stage_project(tmp_path)
     fast = _run_lint(["--scope", "file", str(root / "src")], cwd=root)
     assert fast.returncode == 0, fast.stdout + fast.stderr
     deep = _run_lint(["--scope", "project", str(root / "src")], cwd=root)
     assert deep.returncode == 1
-    assert "fork-safety" in deep.stdout
+    assert "stage-effects" in deep.stdout
 
 
 def test_no_cache_flag_pins_cold_mode(tmp_path):
-    root = _fork_project(tmp_path)
+    root = _stage_project(tmp_path)
     cold = _run_lint(
         ["--scope", "project", "--no-cache", str(root / "src")], cwd=root
     )
@@ -152,11 +141,11 @@ def test_no_cache_flag_pins_cold_mode(tmp_path):
 
 
 def test_explain_prints_rationale_and_example():
-    result = _run_lint(["--explain", "fork-safety"])
+    result = _run_lint(["--explain", "stage-effects"])
     assert result.returncode == 0
     assert "rationale:" in result.stdout
     assert "example finding:" in result.stdout
-    assert "workers=N" in result.stdout
+    assert "only Apply" in result.stdout
 
 
 def test_explain_unknown_rule_exits_2():

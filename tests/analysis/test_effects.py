@@ -94,31 +94,6 @@ def test_rng_draws_and_invalidate_calls():
     ]
 
 
-def test_pool_submit_and_parallel_safe_probe():
-    summary = _summary(
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        def job(payload):
-            return payload
-
-        def fan_out(backend, items):
-            if not getattr(backend, "parallel_safe", False):
-                return [job(i) for i in items]
-            pool = ProcessPoolExecutor(initializer=job)
-            return [pool.submit(job, i).result() for i in items]
-        """
-    )
-    fn = summary.effects["repro.core.mod:fan_out"]
-    assert fn.reads_parallel_safe
-    assert len(fn.constructs_pool) == 1
-    targets = {t for t, _line in fn.pool_submits}
-    # The submit target is an entry point; the initializer is marked
-    # so reachability never treats it as one.
-    assert "repro.core.mod:job" in targets
-    assert "repro.core.mod:job#initializer" in targets
-
-
 def test_summary_round_trips_through_json():
     summary = _summary(
         """

@@ -1,4 +1,4 @@
-"""Bad/good fixture pairs for the three interprocedural rules.
+"""Bad/good fixture pairs for the two interprocedural rules.
 
 Every rule gets a seeded violation that must be caught and a
 corrected twin that must pass clean — the same convention the
@@ -14,8 +14,6 @@ _BACKEND_PROTOCOL = """
 from typing import Protocol
 
 class TuningBackend(Protocol):
-    parallel_safe: bool
-
     def create_index(self, definition) -> None: ...
     def drop_index(self, definition) -> None: ...
     def whatif_cost(self, sql) -> float: ...
@@ -46,128 +44,6 @@ def _lint(tmp_path, files, rule=None, scope="project"):
 
 
 # ---------------------------------------------------------------------------
-# fork-safety
-# ---------------------------------------------------------------------------
-
-_FORK_COMMON = """
-import random
-from concurrent.futures import ProcessPoolExecutor
-
-from repro.ports.backend import TuningBackend
-
-class SearchState:
-    def __init__(self, seed: int):
-        self.best = None
-        self.rng = random.Random(seed)
-"""
-
-_FORK_BAD = _FORK_COMMON + """
-def cost_job(state: SearchState, backend: TuningBackend, keys):
-    state.best = keys                  # parent-visible write
-    backend.create_index("idx")        # worker-side DDL
-    return state.rng.random()          # parent rng stream
-
-def fan_out(backend: TuningBackend, state, items):
-    if not getattr(backend, "parallel_safe", False):
-        return []
-    pool = ProcessPoolExecutor()
-    return [pool.submit(cost_job, state, backend, i) for i in items]
-"""
-
-_FORK_GOOD = _FORK_COMMON + """
-def cost_job(state: SearchState, backend: TuningBackend, keys):
-    return backend.whatif_cost("select 1")
-
-def fan_out(backend: TuningBackend, state, items):
-    if not getattr(backend, "parallel_safe", False):
-        return []
-    pool = ProcessPoolExecutor()
-    return [pool.submit(cost_job, state, backend, i) for i in items]
-"""
-
-
-def test_fork_safety_bad_flags_write_rng_and_ddl(tmp_path):
-    found = _lint(
-        tmp_path,
-        {
-            "src/repro/ports/backend.py": _BACKEND_PROTOCOL,
-            "src/repro/core/search.py": _FORK_BAD,
-        },
-        rule="fork-safety",
-    )
-    messages = "\n".join(v.message for v in found)
-    assert "SearchState.best" in messages
-    assert "create_index" in messages
-    assert "rng" in messages
-    assert all(v.path == "src/repro/core/search.py" for v in found)
-
-
-def test_fork_safety_good_passes_clean(tmp_path):
-    assert not _lint(
-        tmp_path,
-        {
-            "src/repro/ports/backend.py": _BACKEND_PROTOCOL,
-            "src/repro/core/search.py": _FORK_GOOD,
-        },
-        rule="fork-safety",
-    )
-
-
-def test_fork_safety_pool_without_parallel_safe_probe(tmp_path):
-    bad = _cat(
-        _FORK_COMMON,
-        """
-        def cost_job(state: SearchState, keys):
-            return 0.0
-
-        def fan_out(state, items):
-            pool = ProcessPoolExecutor()
-            return [pool.submit(cost_job, state, i) for i in items]
-        """,
-    )
-    found = _lint(
-        tmp_path,
-        {
-            "src/repro/ports/backend.py": _BACKEND_PROTOCOL,
-            "src/repro/core/search.py": bad,
-        },
-        rule="fork-safety",
-    )
-    assert any("parallel_safe" in v.message for v in found)
-
-
-def test_fork_safety_honors_inline_suppression(tmp_path):
-    suppressed = _cat(
-        _FORK_COMMON,
-        """
-        def cost_job(state: SearchState, backend: TuningBackend, keys):
-            backend.create_index("idx")
-            draw = state.rng.random()
-            state.best = keys  # lint: ignore[fork-safety] -- fixture: documented exception
-            return draw
-
-        def fan_out(backend: TuningBackend, state, items):
-            if not getattr(backend, "parallel_safe", False):
-                return []
-            pool = ProcessPoolExecutor()
-            return [pool.submit(cost_job, state, backend, i) for i in items]
-        """,
-    )
-    found = _lint(
-        tmp_path,
-        {
-            "src/repro/ports/backend.py": _BACKEND_PROTOCOL,
-            "src/repro/core/search.py": suppressed,
-        },
-        rule="fork-safety",
-    )
-    assert not any("SearchState.best" in v.message for v in found)
-    # The other two seeded violations still report.
-    assert any("create_index" in v.message for v in found)
-    assert any("rng" in v.message for v in found)
-
-
-# ---------------------------------------------------------------------------
 # stage-effects
 # ---------------------------------------------------------------------------
 
@@ -179,26 +55,27 @@ class Ctx:
         self.backend = backend
 """
 
+_STAGE_BAD = _cat(
+    _STAGE_COMMON,
+    """
+    class ObserveStage:
+        # effect: allows[ddl-drop]
+        def run(self, ctx: Ctx) -> None:
+            ctx.backend.drop_index("i")
+            self._refresh(ctx)
+
+        def _refresh(self, ctx: Ctx) -> None:
+            ctx.backend.create_index("i")
+    """,
+)
+
 
 def test_stage_effects_bad_ddl_outside_contract(tmp_path):
-    bad = _cat(
-        _STAGE_COMMON,
-        """
-        class ObserveStage:
-            # effect: allows[ddl-drop]
-            def run(self, ctx: Ctx) -> None:
-                ctx.backend.drop_index("i")
-                self._refresh(ctx)
-
-            def _refresh(self, ctx: Ctx) -> None:
-                ctx.backend.create_index("i")
-        """,
-    )
     found = _lint(
         tmp_path,
         {
             "src/repro/ports/backend.py": _BACKEND_PROTOCOL,
-            "src/repro/core/pipeline.py": bad,
+            "src/repro/core/pipeline.py": _STAGE_BAD,
         },
         rule="stage-effects",
     )
@@ -207,6 +84,37 @@ def test_stage_effects_bad_ddl_outside_contract(tmp_path):
     assert "ddl-create" in found[0].message
     # Flagged at the offending helper call site, with the chain.
     assert "_refresh" in found[0].message
+
+
+def test_stage_effects_honors_inline_suppression(tmp_path):
+    # Two out-of-contract effects; only the suppressed one goes quiet.
+    source = _cat(
+        _STAGE_COMMON,
+        """
+        class ObserveStage:
+            # effect: allows[]
+            def run(self, ctx: Ctx) -> None:
+                ctx.backend.reset_index_usage()
+                ctx.backend.create_index("i")
+        """,
+    )
+    files = {
+        "src/repro/ports/backend.py": _BACKEND_PROTOCOL,
+        "src/repro/core/pipeline.py": source,
+    }
+    found = _lint(tmp_path, dict(files), rule="stage-effects")
+    assert sorted("ddl-create" in v.message for v in found) == [
+        False,
+        True,
+    ]
+    files["src/repro/core/pipeline.py"] = source.replace(
+        'ctx.backend.create_index("i")',
+        'ctx.backend.create_index("i")  '
+        "# lint: ignore[stage-effects] -- fixture: documented exception",
+    )
+    found = _lint(tmp_path, files, rule="stage-effects")
+    assert len(found) == 1
+    assert "usage-reset" in found[0].message
 
 
 def test_stage_effects_good_within_contract(tmp_path):
@@ -425,12 +333,11 @@ def test_cache_invalidation_missing_invalidator_method(tmp_path):
 
 
 def test_file_scope_skips_project_rules(tmp_path):
-    found = _lint(
-        tmp_path,
-        {
-            "src/repro/ports/backend.py": _BACKEND_PROTOCOL,
-            "src/repro/core/search.py": _FORK_BAD,
-        },
-        scope="file",
-    )
-    assert not [v for v in found if v.rule == "fork-safety"]
+    files = {
+        "src/repro/ports/backend.py": _BACKEND_PROTOCOL,
+        "src/repro/core/pipeline.py": _STAGE_BAD,
+    }
+    found = _lint(tmp_path, files, scope="file")
+    assert not [v for v in found if v.rule == "stage-effects"]
+    # The same tree does fail the project pass.
+    assert _lint(tmp_path, files, rule="stage-effects")

@@ -47,8 +47,9 @@ class TestSummarise:
 
 class TestPerfArguments:
     def test_bad_workers_rejected(self):
+        # Rollout costing is serial; --workers is not an option.
         with pytest.raises(SystemExit):
-            cli.main(["--perf", "mcts", "--workers", "0"])
+            cli.main(["--perf", "mcts", "--workers", "2"])
 
     def test_unknown_perf_target_rejected(self):
         with pytest.raises(SystemExit):
@@ -64,18 +65,16 @@ class TestPerfBenchSmoke:
         out = tmp_path / "mcts.json"
         report = run_mcts_perf(
             iterations=6, rounds=2, out_path=str(out),
-            observe_queries=60, workers=2,
+            observe_queries=60,
         )
         assert out.exists()
         assert report["identical_result"] is True
-        for mode in ("full", "delta", "parallel"):
+        for mode in ("full", "delta", "vectorized"):
             assert report[mode]["wall_seconds"] > 0
-        machine = report["machine"]
-        assert machine["workers_requested"] == 2
-        assert 1 <= machine["workers_effective"] <= 2
-        assert report["parallel"]["workers_used"] == (
-            machine["workers_effective"]
-        )
+        assert "parallel" not in report
+        assert report["speedup_vectorized"] > 0
+        assert report["speedup_vectorized_vs_full"] > 0
+        assert report["machine"]["cpu_count"] >= 1
 
     def test_ingest_perf_three_modes(self, tmp_path):
         from repro.bench.perf import run_ingest_perf
