@@ -442,7 +442,6 @@ class AutoIndexAdvisor:
                 definition, rec.predicted_benefit / len(watchable)
             )
         if rec.additions or rec.removals:
-            self.estimator.clear_cache()
             self.db.reset_index_usage()
         rec.consumed = True
 

@@ -257,10 +257,14 @@ class BenefitEstimator:
       this tier survives retraining — after a model swap only
       prediction re-runs, no statement is re-planned.
 
-    Both tiers key on the subset of the configuration touching the
-    statement's tables, so configurations that differ only in
-    irrelevant indexes share entries. Data/DDL changes are detected
-    via the catalog version and flush both tiers.
+    Both tiers key on the backend's ``index_identity`` of the subset
+    of the configuration touching the statement's tables, so
+    configurations that differ only in irrelevant indexes share
+    entries, and a built index shares them with its hypothetical twin
+    when neither its shape nor its place in the planner's index order
+    changed. Data, stats and table-set changes move the backend's
+    ``data_version`` and flush both tiers; index DDL moves neither,
+    so cached plans and costs survive applied rounds.
 
     :meth:`workload_cost_delta` is the MCTS hot path: given a parent
     configuration's per-template costs, only templates touching a
@@ -299,7 +303,7 @@ class BenefitEstimator:
         self._sample_cache = LruCache(cache_size)
         self._inverted_cache = LruCache(8)
         self._inverted_memo: Optional[Tuple[Sequence, Dict]] = None
-        self._catalog_version = backend.catalog_version()
+        self._data_version = backend.data_version()
         self.estimate_calls = 0  # model predictions (cost-tier misses)
         self.plans_computed = 0  # planner invocations (feature misses)
         # Resilience (the degradation ladder; see _predict).
@@ -372,12 +376,15 @@ class BenefitEstimator:
         return self.backend
 
     def _check_version(self) -> None:
-        """Flush both tiers if the database changed underneath us."""
-        version = self.backend.catalog_version()
-        if version != self._catalog_version:
+        """Flush both tiers if the data changed underneath us.
+
+        Index DDL does not flush: keys carry the index identity.
+        """
+        version = self.backend.data_version()
+        if version != self._data_version:
             self._cache.clear()
             self._feature_cache.clear()
-            self._catalog_version = version
+            self._data_version = version
 
     def query_cost(
         self,
@@ -386,10 +393,14 @@ class BenefitEstimator:
     ) -> float:
         """Estimated execution cost of one template instance.
 
-        Estimation uses the template's most recent *concrete* instance
-        (real literals → real selectivities) when one is available;
-        the placeholder form (unknown-value selectivities) is the
-        fallback.
+        Estimation uses a *concrete* instance of the template (real
+        literals → real selectivities) when one is available: the
+        first ``sample_sql`` this estimator parsed for the
+        fingerprint, kept until the sample cache evicts it — not the
+        template's most recent instance. A fresh estimator (after a
+        restore) therefore parses the current sample and may price
+        the template differently. The placeholder form
+        (unknown-value selectivities) is the fallback.
         """
         self._check_version()
         key, relevant = self._relevant_config(template, config)
@@ -502,14 +513,15 @@ class BenefitEstimator:
         """
         # One pass over the config up front; per template only its
         # (few) relevant definitions are touched, not the whole
-        # config. Keys match _relevant_config exactly: the per-table
-        # signatures below are sorted key tuples, and a single-table
-        # template's merged key IS its table's signature — computed
-        # once per call, not once per position.
+        # config. Keys match _relevant_config exactly: both are the
+        # backend's index identity of the relevant definitions, and a
+        # single-table template's key IS its table's identity —
+        # computed once per call, not once per position.
         by_table: Dict[str, List[IndexDef]] = {}
         for d in config:
             by_table.setdefault(d.table, []).append(d)
         table_sigs: Dict[str, Tuple] = {}
+        identity = self.backend.index_identity
         cache_get = self._cache.get
         missing: List[
             Tuple[int, Tuple, float, QueryTemplate, Optional[CostFeatures]]
@@ -528,21 +540,13 @@ class BenefitEstimator:
                 sig = table_sigs.get(tables[0])
                 if sig is None:
                     defs = by_table.get(tables[0])
-                    sig = (
-                        tuple(sorted(d.key for d in defs))
-                        if defs
-                        else ()
-                    )
+                    sig = identity(defs) if defs else ()
                     table_sigs[tables[0]] = sig
                 merged = sig
             else:
-                keys = [
-                    d.key
-                    for table in tables
-                    for d in by_table.get(table, ())
-                ]
-                keys.sort()
-                merged = tuple(keys)
+                merged = identity(
+                    [d for table in tables for d in by_table.get(table, ())]
+                )
             key = (template.fingerprint, merged)
             cached = cache_get(key)
             if cached is not None:
@@ -797,7 +801,7 @@ class BenefitEstimator:
             (d for d in config if d.table in table_set),
             key=lambda d: d.key,
         )
-        key = (template.fingerprint, tuple(d.key for d in relevant))
+        key = (template.fingerprint, self.backend.index_identity(relevant))
         return key, relevant
 
     def _cache_key(
@@ -811,8 +815,8 @@ class BenefitEstimator:
         The default keeps the feature tier: it is the right call after
         a *model* change (costs stale, plans still valid). Pass
         ``include_features=True`` only when plans themselves are
-        suspect — database changes are handled automatically via the
-        catalog version.
+        suspect — data changes are handled automatically via the
+        backend's data version, and index DDL needs no flush at all.
         """
         self._cache.clear()
         if include_features:

@@ -298,7 +298,6 @@ class ObserveStage:
                     f"rolled back: {exc}"
                 )
             else:
-                ctx.estimator.clear_cache()
                 ctx.report.dropped.extend(reverted)
                 ctx.report.rolled_back += len(reverted)
         if ctx.scope_tables is not None:
@@ -539,7 +538,6 @@ class ApplyStage:
             if ctx.safety is not None:
                 self._open_claims(ctx, result)
             if result.additions or result.removals:
-                ctx.estimator.clear_cache()
                 ctx.backend.reset_index_usage()
 
         _fill_search_summary(ctx, result)

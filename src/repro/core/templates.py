@@ -32,7 +32,9 @@ class QueryTemplate:
     frequency: float = 0.0          # lifetime matches (decayed on drift)
     window_frequency: float = 0.0   # matches since the last tuning round
     last_seen: int = 0
-    sample_sql: str = ""  # most recent concrete instance
+    # Most recent concrete instance. The estimator prices the first
+    # one it parsed per fingerprint, not this (_representative).
+    sample_sql: str = ""
     is_write: bool = False
 
     @property

@@ -44,16 +44,26 @@ class Catalog:
         self._tables: Dict[str, TableEntry] = {}
         self._hypothetical: Dict[IndexKey, IndexDef] = {}
         self._masked: Set[IndexKey] = set()
-        # Monotonic data/DDL version. Cached plans and cost estimates
-        # embed this in their keys, so any change that can move an
-        # estimate (new data, new stats, new real index) invalidates
-        # them without a scan. What-if overlays do NOT bump it: the
-        # overlay is captured explicitly via index signatures.
+        # Two monotonic versions. ``version`` moves on every change to
+        # data, stats, the table set *or* the real index set: state
+        # that must see DDL (diagnosis) keys on it. ``data_version``
+        # moves on data, stats and table-set changes only. Cached
+        # plans and features key on it plus :meth:`index_identity`,
+        # which lists indexes in the planner's order and tags the
+        # built ones whose real shape a plan could tell apart from
+        # the estimate, so creating or dropping an index invalidates
+        # nothing. What-if overlays bump neither: identities capture
+        # them.
         self.version = 0
+        self.data_version = 0
+        # (version, key -> (creation rank, divergence tag)), see
+        # index_identity.
+        self._identity_memo: Tuple[int, Dict[IndexKey, Tuple]] = (-1, {})
 
     def bump_version(self) -> None:
-        """Signal that data, stats, or the real index set changed."""
+        """Signal that data, stats, or the table set changed."""
         self.version += 1
+        self.data_version += 1
 
     # -- tables ---------------------------------------------------------------
 
@@ -92,7 +102,7 @@ class Catalog:
         if key in entry.indexes:
             raise ValueError(f"index on {key} already exists")
         entry.indexes[key] = index
-        self.bump_version()
+        self.version += 1
 
     def drop_index(self, definition: IndexDef) -> Index:
         entry = self.table(definition.table)
@@ -100,7 +110,7 @@ class Catalog:
             index = entry.indexes.pop(definition.key)
         except KeyError:
             raise KeyError(f"no such index: {definition}") from None
-        self.bump_version()
+        self.version += 1
         return index
 
     def get_index(self, definition: IndexDef) -> Optional[Index]:
@@ -129,12 +139,15 @@ class Catalog:
     ) -> None:
         """Install a what-if overlay.
 
-        ``hypothetical`` definitions become visible to the planner;
-        ``masked`` real indexes become invisible. The executor never
-        consults the overlay, so hypothetical indexes can never be
-        *used*, only costed.
+        ``hypothetical`` definitions become visible to the planner, in
+        key order whatever order the caller lists them in; ``masked``
+        real indexes become invisible. The executor never consults
+        the overlay, so hypothetical indexes can never be *used*, only
+        costed.
         """
-        self._hypothetical = {d.key: d for d in hypothetical}
+        self._hypothetical = {
+            d.key: d for d in sorted(hypothetical, key=lambda d: d.key)
+        }
         self._masked = {d.key for d in masked}
 
     def clear_whatif(self) -> None:
@@ -146,7 +159,12 @@ class Catalog:
         return bool(self._hypothetical) or bool(self._masked)
 
     def visible_index_defs(self, table: str) -> List[IndexDef]:
-        """Index definitions the planner may consider for ``table``."""
+        """Index definitions the planner may consider for ``table``.
+
+        Built indexes in creation order, then hypothetical ones in
+        key order. The planner sums maintenance charges and breaks
+        cost ties in this order, so :meth:`index_identity` encodes it.
+        """
         entry = self.table(table)
         defs = [
             ix.definition
@@ -158,26 +176,74 @@ class Catalog:
         )
         return defs
 
-    def table_index_signature(self, table: str) -> Tuple:
-        """Hashable fingerprint of the index set visible on ``table``.
+    def index_identity(self, defs: Sequence[IndexDef]) -> Tuple:
+        """Cache identity of an index set: the one rule for such keys.
 
-        Includes each visible index's identity key plus whether it is
-        materialised (a real B+Tree's measured shape differs from a
-        hypothetical estimate, so the two must not share cached
-        plans). Used as a plan/cost cache key component.
+        A plan sees an index set through :meth:`index_shape` and
+        through the order of :meth:`visible_index_defs`, so the
+        identity is that order: per table, the built indexes by
+        creation, then the others by key. Each index is named by its
+        ``key``, except a *divergent* one — built, and its real shape
+        differs from :func:`hypothetical_shape` under the current
+        stats — whose key carries its real shape. Equal identities
+        under one :attr:`data_version` therefore plan bit-identically,
+        whichever indexes are built; a freshly built index that is
+        not divergent keeps its hypothetical identity whenever it
+        sorts first among the table's unbuilt indexes.
+
+        The planner keys its access-path memo on the identity of the
+        indexes that can serve a probe, and the estimator keys both
+        of its tiers on the identity of a statement's relevant
+        indexes.
         """
-        return self.index_signature_of(self.visible_index_defs(table))
+        version, memo = self._identity_memo
+        if version != self.version:
+            memo = {}
+            self._identity_memo = (self.version, memo)
+        masked = self._masked
+        ordered = []
+        for d in defs:
+            key = d.key
+            try:
+                position, tag = memo[key]
+            except KeyError:
+                position, tag = memo[key] = self._built_position(d)
+            if position is None or key in masked:
+                ordered.append((d.table, 1, key, key))
+            else:
+                name = key if tag is None else key + tag
+                ordered.append((d.table, 0, position, name))
+        ordered.sort()
+        return tuple(entry[3] for entry in ordered)
 
-    def index_signature_of(self, defs: Sequence[IndexDef]) -> Tuple:
-        """Signature of an explicit definition subset.
+    def _built_position(
+        self, definition: IndexDef
+    ) -> Tuple[Optional[int], Optional[Tuple]]:
+        """(creation rank, divergence tag) of a built index, else Nones.
 
-        The planner keys its access-path memo on the subset of visible
-        indexes that can actually serve the probe (sargable lead
-        column), not the whole visible set — configurations differing
-        only in indexes irrelevant to a statement then share entries.
+        The tag is ``("built", *real shape)`` when the real shape
+        differs from the estimate. Both move only with
+        :attr:`version`, so :meth:`index_identity` memoises them per
+        key until it moves.
         """
-        return tuple(
-            sorted((d.key, self.is_materialized(d)) for d in defs)
+        entry = self._tables.get(definition.table)
+        index = None if entry is None else entry.indexes.get(definition.key)
+        if index is None:
+            return None, None
+        position = list(entry.indexes).index(definition.key)
+        shape = shape_of_index(index)
+        estimate = hypothetical_shape(
+            index.definition, entry.schema, entry.stats
+        )
+        if shape == estimate:
+            return position, None
+        return position, (
+            "built",
+            shape.height,
+            shape.leaf_pages,
+            shape.total_pages,
+            shape.entry_count,
+            shape.partitions,
         )
 
     def index_shape(self, definition: IndexDef) -> IndexShape:

@@ -97,12 +97,15 @@ class Planner:
         self.params = params
         self.faults = faults
         # Access-path memo: (table, binding, predicate, needed columns,
-        # per-table index signature, catalog version) -> chosen plan.
+        # servable index identity, data version) -> chosen plan.
         # Statement ASTs are immutable, so a cached subtree can be
         # grafted into any number of enclosing plans. The per-table
-        # signature (not the whole configuration) is the key insight:
+        # identity (not the whole configuration) is the key insight:
         # two what-if configurations that differ only on *other*
-        # tables reuse this relation's access-path work.
+        # tables reuse this relation's access-path work. Keying on
+        # the data version, not the catalog version, keeps entries
+        # across index DDL: Catalog.index_identity already tells a
+        # built index from its estimate wherever a plan could.
         self.plan_cache = LruCache(plan_cache_size)
         self.plan_cache_enabled = True
         self.access_paths_computed = 0
@@ -472,11 +475,11 @@ class Planner:
         """Choose the cheapest access path for one relation.
 
         Results are memoized on (table, binding, predicate, needed
-        columns, *servable* index signature, catalog version); the
+        columns, *servable* index identity, data version); the
         returned plan node must therefore never be mutated by callers
         — wrap it instead.
 
-        The signature component covers only the visible indexes whose
+        The identity component covers only the visible indexes whose
         lead column is sargable for this predicate — the only ones
         :meth:`_match_index` can turn into a plan. Keying on the full
         visible set made every candidate configuration a unique key
@@ -498,8 +501,8 @@ class Planner:
                 binding,
                 predicate,
                 None if needed_columns is None else frozenset(needed_columns),
-                self.catalog.index_signature_of(servable),
-                self.catalog.version,
+                self.catalog.index_identity(servable),
+                self.catalog.data_version,
             )
             cached = self.plan_cache.get(cache_key)
             if cached is not None:
@@ -723,8 +726,8 @@ class Planner:
                 join_column,
                 outer_expr,
                 local_predicate,
-                self.catalog.index_signature_of(servable),
-                self.catalog.version,
+                self.catalog.index_identity(servable),
+                self.catalog.data_version,
             )
             cached = self.plan_cache.get(cache_key)
             if cached is not None:

@@ -32,7 +32,7 @@ from typing import (
 
 from repro.engine.faults import FaultInjector
 from repro.engine.index import IndexDef
-from repro.engine.metrics import IndexUsage, WorkloadMonitor
+from repro.engine.metrics import CacheStats, IndexUsage, WorkloadMonitor
 from repro.engine.schema import TableSchema
 from repro.engine.stats import TableStats
 from repro.sql import ast
@@ -167,7 +167,30 @@ class TuningBackend(Protocol):
 
     def has_table(self, name: str) -> bool: ...
 
-    def catalog_version(self) -> int: ...
+    def catalog_version(self) -> int:
+        """Moves on every data, stats, table-set or index-set change."""
+        ...
+
+    # -- cache keys ---------------------------------------------------------
+
+    def data_version(self) -> int:
+        """Moves on data, stats and table-set changes, not on index DDL.
+
+        What-if results keyed on this plus :meth:`index_identity`
+        stay valid across index creates and drops.
+        """
+        ...
+
+    def index_identity(self, defs: Sequence[IndexDef]) -> Tuple:
+        """Cache identity of an index set (see ``Catalog.index_identity``).
+
+        Equal identities under one :meth:`data_version` plan to
+        bit-identical what-if costs, whichever of the indexes are
+        built.
+        """
+        ...
+
+    def plan_cache_stats(self) -> CacheStats: ...
 
     # -- execution ----------------------------------------------------------
 

@@ -28,7 +28,7 @@ in, and what the backend-parity tests exercise.
 from __future__ import annotations
 
 import sqlite3
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.engine.catalog import Catalog, TableEntry
 from repro.engine.cost import CostParams, DEFAULT_PARAMS, PAGE_SIZE
@@ -50,8 +50,8 @@ from repro.engine.stats import (
     MCV_ENTRIES,
     TableStats,
 )
-from repro.ports.backend import ExecutionOutcome, WhatIfCost
-from repro.ports.whatif import planned_whatif, planned_whatif_batch
+from repro.ports.backend import ExecutionOutcome
+from repro.ports.whatif import CatalogAdapter
 from repro.sql import ast, parse
 from repro.sql.fingerprint import fingerprint as _fingerprint
 
@@ -149,7 +149,7 @@ class ShadowIndex:
         return self._shape().byte_size
 
 
-class SqliteBackend:
+class SqliteBackend(CatalogAdapter):
     """A real SQLite database speaking :class:`TuningBackend`."""
 
     name = "sqlite"
@@ -371,9 +371,6 @@ class SqliteBackend:
     def has_table(self, name: str) -> bool:
         return self.catalog.has_table(name)
 
-    def catalog_version(self) -> int:
-        return self.catalog.version
-
     # ------------------------------------------------------------------
     # parse / fingerprint
     # ------------------------------------------------------------------
@@ -464,44 +461,6 @@ class SqliteBackend:
     def explain(self, sql: str) -> str:
         """Render the shadow planner's plan for a statement."""
         return self.planner.plan(self.parse_statement(sql)).explain()
-
-    # ------------------------------------------------------------------
-    # what-if costing
-    # ------------------------------------------------------------------
-
-    def whatif_cost(
-        self,
-        statement: ast.Statement,
-        config: Optional[Sequence[IndexDef]] = None,
-    ) -> WhatIfCost:
-        cost, _plan = planned_whatif(
-            self.planner, self.catalog, statement, config
-        )
-        return cost
-
-    def whatif_cost_batch(
-        self,
-        statements: Sequence[ast.Statement],
-        config: Optional[Sequence[IndexDef]] = None,
-    ) -> List[WhatIfCost]:
-        return [
-            cost
-            for cost, _plan in planned_whatif_batch(
-                self.planner, self.catalog, statements, config
-            )
-        ]
-
-    def estimate_cost(
-        self,
-        statement: Union[str, ast.Statement],
-        config: Optional[Sequence[IndexDef]] = None,
-    ) -> Tuple[float, PlanNode]:
-        if isinstance(statement, str):
-            statement = self.parse_statement(statement)
-        cost, plan = planned_whatif(
-            self.planner, self.catalog, statement, config
-        )
-        return cost.total, plan
 
     # ------------------------------------------------------------------
     # sizes & metrics

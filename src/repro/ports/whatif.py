@@ -8,15 +8,27 @@ placeholders, overlay the configuration on the catalog, plan, and read
 the maintenance charge off the plan shape. Keeping the whole
 computation here is what stops the placeholder-stripping / costing
 logic from drifting between copies again (it did once, pre-PR 1).
+:class:`CatalogAdapter` hangs the same computation, and the cache
+keys derived from the catalog, on both adapters as methods.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.engine.catalog import Catalog
 from repro.engine.index import IndexDef
+from repro.engine.metrics import CacheStats
 from repro.engine.plan import DeletePlan, InsertPlan, PlanNode, UpdatePlan
 from repro.engine.planner import Planner
 from repro.ports.backend import WhatIfCost
@@ -24,6 +36,7 @@ from repro.sql import ast
 from repro.sql.fingerprint import strip_placeholders
 
 __all__ = [
+    "CatalogAdapter",
     "overlay_split",
     "whatif_overlay",
     "planned_whatif",
@@ -181,3 +194,69 @@ def _affected_indexes(
     if changed is None:
         return defs
     return [d for d in defs if set(d.columns) & changed]
+
+
+class CatalogAdapter:
+    """Backend methods shared by every adapter that owns a catalog.
+
+    Both adapters cost what-if questions with a :class:`Planner` over
+    a :class:`Catalog` (real or shadow), so the costing entry points
+    and the cache keys read off that catalog are written once, here.
+    """
+
+    catalog: Catalog
+    planner: Planner
+    parse_statement: Callable[[str], ast.Statement]
+
+    def whatif_cost(
+        self,
+        statement: ast.Statement,
+        config: Optional[Sequence[IndexDef]] = None,
+    ) -> WhatIfCost:
+        cost, _plan = planned_whatif(
+            self.planner, self.catalog, statement, config
+        )
+        return cost
+
+    def whatif_cost_batch(
+        self,
+        statements: Sequence[ast.Statement],
+        config: Optional[Sequence[IndexDef]] = None,
+    ) -> List[WhatIfCost]:
+        return [
+            cost
+            for cost, _plan in planned_whatif_batch(
+                self.planner, self.catalog, statements, config
+            )
+        ]
+
+    def estimate_cost(
+        self,
+        statement: Union[str, ast.Statement],
+        config: Optional[Sequence[IndexDef]] = None,
+    ) -> Tuple[float, PlanNode]:
+        """Optimizer cost of a statement under an index configuration.
+
+        ``config`` is the complete index set to assume (real indexes
+        not in the config are masked; config entries not built are
+        added hypothetically). ``None`` means the current real set.
+        Nothing is executed.
+        """
+        if isinstance(statement, str):
+            statement = self.parse_statement(statement)
+        cost, plan = planned_whatif(
+            self.planner, self.catalog, statement, config
+        )
+        return cost.total, plan
+
+    def catalog_version(self) -> int:
+        return self.catalog.version
+
+    def data_version(self) -> int:
+        return self.catalog.data_version
+
+    def index_identity(self, defs: Sequence[IndexDef]) -> Tuple:
+        return self.catalog.index_identity(defs)
+
+    def plan_cache_stats(self) -> CacheStats:
+        return self.planner.plan_cache_stats()

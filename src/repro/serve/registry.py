@@ -110,8 +110,20 @@ class TenantRuntime:
                 "observe_failures": advisor.observe_failures,
                 "checkpoints_written": self.checkpoints_written,
                 "regret": regret,
+                "caches": self._cache_status(),
                 **self.session.counters(),
             }
+
+    def _cache_status(self) -> dict:
+        """Live what-if cache counters (not checkpointed, not reported)."""
+        estimator = self.advisor.estimator
+        tiers = estimator.cache_stats()
+        return {
+            "estimator_cost": tiers["cost"].as_dict(),
+            "estimator_features": tiers["features"].as_dict(),
+            "planner": self.backend.plan_cache_stats().as_dict(),
+            "plans_computed": estimator.plans_computed,
+        }
 
     def normalized_reports(self) -> List[dict]:
         with self.lock:

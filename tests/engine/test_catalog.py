@@ -101,6 +101,21 @@ class TestWhatIf:
         assert index.definition not in catalog.visible_index_defs("t")
         assert not catalog.is_materialized(index.definition)
 
+    def test_visible_order_is_built_then_hypothetical_by_key(self):
+        catalog, _ = fresh_catalog()
+        entry = catalog.table("t")
+        built = Index(IndexDef(table="t", columns=("c",)), entry.schema)
+        built.build(list(entry.heap.scan()))
+        catalog.add_index(built)
+        later = IndexDef(table="t", columns=("b", "c"))
+        earlier = IndexDef(table="t", columns=("a", "b"))
+        catalog.set_whatif(hypothetical=[later, earlier])
+        assert catalog.visible_index_defs("t") == [
+            built.definition,
+            earlier,
+            later,
+        ]
+
     def test_clear_restores(self):
         catalog, _ = fresh_catalog()
         catalog.set_whatif(hypothetical=[IndexDef(table="t", columns=("b",))])

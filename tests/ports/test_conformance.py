@@ -10,6 +10,8 @@ statement surface.
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.engine.faults import FaultError, FaultPlan, PERMANENT
 from repro.engine.index import IndexDef
@@ -198,3 +200,161 @@ class TestUsageCounters:
         people_backend.reset_index_usage()
         assert people_backend.usage_epoch() > epoch
         assert people_backend.catalog_version() == catalog
+
+
+class TestCacheKeys:
+    """``data_version`` and ``index_identity``: the what-if cache keys."""
+
+    def test_index_ddl_moves_catalog_version_only(self, people_backend):
+        catalog, data = (
+            people_backend.catalog_version(),
+            people_backend.data_version(),
+        )
+        people_backend.create_index(COMMUNITY_IX)
+        assert people_backend.catalog_version() > catalog
+        assert people_backend.data_version() == data
+        catalog = people_backend.catalog_version()
+        people_backend.drop_index(COMMUNITY_IX)
+        assert people_backend.catalog_version() > catalog
+        assert people_backend.data_version() == data
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda db: db.load_rows(
+                "people", [(90000, "p", 1, 37.0, "healthy")]
+            ),
+            lambda db: db.analyze(),
+            lambda db: db.execute(
+                "INSERT INTO people (id, name, community, temperature, "
+                "status) VALUES (90001, 'q', 2, 36.6, 'suspect')"
+            ),
+            lambda db: db.execute(
+                "UPDATE people SET status = 'healthy' WHERE id = 10"
+            ),
+            lambda db: db.execute("DELETE FROM people WHERE id = 11"),
+        ],
+        ids=["load_rows", "analyze", "insert", "update", "delete"],
+    )
+    def test_data_changes_move_both_versions(self, people_backend, change):
+        catalog, data = (
+            people_backend.catalog_version(),
+            people_backend.data_version(),
+        )
+        change(people_backend)
+        assert people_backend.catalog_version() > catalog
+        assert people_backend.data_version() > data
+
+    def test_identity_lists_built_then_unbuilt_keys(self, people_backend):
+        # Nothing diverges right after ANALYZE: names are bare keys,
+        # the built primary key first, the rest in key order.
+        pk = IndexDef("people", ("id",))
+        temperature = IndexDef("people", ("temperature",))
+        defs = [temperature, COMMUNITY_IX, pk]
+        assert people_backend.index_identity(defs) == (
+            pk.key,
+            COMMUNITY_IX.key,
+            temperature.key,
+        )
+
+
+_PEOPLE_INDEXES = [
+    IndexDef("people", ("community",)),
+    IndexDef("people", ("community", "status")),
+    IndexDef("people", ("status", "temperature")),
+    IndexDef("people", ("temperature",)),
+    IndexDef("people", ("name",)),
+]
+_PEOPLE_STATEMENTS = [
+    COMMUNITY_SQL,
+    "SELECT name FROM people WHERE temperature > 39.5",
+    "SELECT COUNT(*) FROM people WHERE status = 'confirmed' "
+    "AND temperature BETWEEN 37.0 AND 38.0",
+    "SELECT id, status FROM people WHERE community = 4 ORDER BY id",
+    "SELECT name FROM people WHERE name = 'person_77'",
+    "UPDATE people SET community = 5, status = 'x' WHERE id = 10",
+    "UPDATE people SET temperature = 38.0 WHERE community = 2",
+    "INSERT INTO people (id, name, community, temperature, status) "
+    "VALUES (99999, 'z', 3, 37.2, 'suspect')",
+]
+
+
+def _feature_bits(backend, config):
+    from repro.core.features import compute_features
+
+    out = []
+    for sql in _PEOPLE_STATEMENTS:
+        f = compute_features(backend, backend.parse_statement(sql), config)
+        out.append(
+            (
+                f.data_cost.hex(),
+                f.io_cost.hex(),
+                f.cpu_cost.hex(),
+                f.is_write,
+                f.num_affected_indexes,
+            )
+        )
+    return out
+
+
+def _shapes(backend, definition):
+    from repro.engine.index import hypothetical_shape, shape_of_index
+
+    catalog = backend.catalog
+    entry = catalog.table(definition.table)
+    return (
+        shape_of_index(catalog.get_index(definition)),
+        hypothetical_shape(definition, entry.schema, entry.stats),
+    )
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    picks=st.lists(
+        st.sampled_from(range(len(_PEOPLE_INDEXES))),
+        min_size=1,
+        max_size=4,
+        unique=True,
+    ),
+    choose=st.integers(min_value=0, max_value=3),
+    writes=st.sampled_from([0, 1, 40, 300]),
+)
+# Building ("temperature",) moves it ahead of the two unbuilt indexes
+# in the planner's maintenance sum, which changes the INSERT's io_cost
+# in the last bit: the identity must not stay equal. Building
+# ("community",), the first unbuilt key, keeps the order and the
+# identity, so the features must match bit for bit.
+@example(picks=[0, 1, 3], choose=2, writes=0)
+@example(picks=[0, 1, 3], choose=0, writes=0)
+def test_identity_decides_hypothetical_vs_built_features(
+    backend_name, picks, choose, writes
+):
+    """Equal identity: bit-identical features. Unequal shapes: unequal identity.
+
+    One index of a random configuration is planned hypothetical, then
+    built. Executed inserts first make the stats stale, so the built
+    tree can differ from the estimate.
+    """
+    db = create_backend(backend_name)
+    load_people(db, rows=600)
+    for i in range(writes):
+        db.execute(
+            "INSERT INTO people (id, name, community, temperature, "
+            f"status) VALUES ({10000 + i}, 'w{i}', {i % 7}, 37.5, 'healthy')"
+        )
+    config = [_PEOPLE_INDEXES[i] for i in picks]
+    built = config[choose % len(config)]
+    hypothetical_identity = db.index_identity(config)
+    hypothetical_features = _feature_bits(db, config)
+    db.create_index(built)
+    built_identity = db.index_identity(config)
+    built_features = _feature_bits(db, config)
+    real, estimate = _shapes(db, built)
+    if real != estimate:
+        assert hypothetical_identity != built_identity
+    if hypothetical_identity == built_identity:
+        assert built_features == hypothetical_features

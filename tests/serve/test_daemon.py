@@ -158,3 +158,40 @@ def test_skewed_tenants_bounded_memory_and_independent_budgets():
         for i in range(N)
     }
     assert len(stores) == N
+
+
+def test_status_reports_cache_counters_across_ddl():
+    """Feature-tier entries survive a round that applied DDL.
+
+    Read-only statements leave the data version alone, so the second
+    round reuses what the first planned, before and after its index
+    changes.
+    """
+    daemon = TuningDaemon(workers=0)
+    daemon.add_tenant(
+        parse_tenant_spec(
+            "a,workload=banking,round-every=60,mcts-iterations=20"
+        )
+    )
+    reads = [
+        sql for sql in banking_statements(400) if sql.startswith("SELECT")
+    ][:120]
+    daemon.ingest("a", reads[:60])
+    first = daemon.status()["tenants"]["a"]["caches"]
+    applied = daemon.registry.get("a").advisor.tuning_history[-1]
+    assert applied.created or applied.dropped
+    daemon.ingest("a", reads[60:])
+    second = daemon.status()["tenants"]["a"]["caches"]
+    assert set(second) == {
+        "estimator_cost",
+        "estimator_features",
+        "planner",
+        "plans_computed",
+    }
+    for tier in ("estimator_cost", "estimator_features", "planner"):
+        assert set(second[tier]) >= {"hits", "misses", "size", "maxsize"}
+    features = second["estimator_features"]
+    assert features["hits"] > first["estimator_features"]["hits"]
+    assert features["size"] >= first["estimator_features"]["size"] > 0
+    assert second["plans_computed"] >= first["plans_computed"] > 0
+    assert daemon.status()["rounds_completed"] == 2
