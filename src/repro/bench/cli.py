@@ -125,38 +125,6 @@ def _summarise(result: object, indent: str = "  ") -> None:
     print(f"{indent}{result}")
 
 
-def run_perf(
-    target: str, iterations: int, rounds: int, out: str,
-    queries: int = 4000,
-) -> int:
-    """Dispatch a performance benchmark (``--perf mcts|ingest``)."""
-    if target == "mcts":
-        from repro.bench.perf import render_mcts_perf, run_mcts_perf
-
-        print("=== perf: MCTS costing modes (full/delta/vectorized) ===")
-        report = run_mcts_perf(
-            iterations=iterations, rounds=rounds, out_path=out
-        )
-        for line in render_mcts_perf(report):
-            print("  " + line)
-        print(f"  written to {out}")
-        return 0
-    if target == "ingest":
-        from repro.bench.perf import render_ingest_perf, run_ingest_perf
-
-        print(
-            "=== perf: ingest modes "
-            "(full-parse/cached/cached+incremental) ==="
-        )
-        report = run_ingest_perf(queries=queries, out_path=out)
-        for line in render_ingest_perf(report):
-            print("  " + line)
-        print(f"  written to {out}")
-        return 0 if report["identical_result"] else 1
-    print(f"unknown perf target {target!r}")  # argparse guards this
-    return 2
-
-
 def run_backend(backend: str, seed: int) -> int:
     """Dispatch the backend demo (``--backend sqlite``)."""
     from repro.bench.backends import render_backend_demo, run_backend_demo
@@ -221,11 +189,6 @@ def main(argv: List[str] | None = None) -> int:
         description="Regenerate the AutoIndex paper's experiments.",
     )
     parser.add_argument(
-        "--perf",
-        choices=["mcts", "ingest"],
-        help="run a performance benchmark instead of an experiment",
-    )
-    parser.add_argument(
         "--backend",
         choices=available_backends(),
         help="run a full tuning demo on the chosen backend adapter",
@@ -248,7 +211,7 @@ def main(argv: List[str] | None = None) -> int:
     )
     parser.add_argument(
         "--seed", type=int, default=11,
-        help="fault-plan seed for --faults (default 11)",
+        help="seed for --faults (fault plan) and --backend (default 11)",
     )
     parser.add_argument(
         "--rate", type=float, default=0.2,
@@ -260,21 +223,13 @@ def main(argv: List[str] | None = None) -> int:
         help="fault type injected by --faults (default transient)",
     )
     parser.add_argument(
-        "--iterations", type=int, default=200,
-        help="total MCTS iterations for --perf (default 200)",
-    )
-    parser.add_argument(
-        "--queries", type=int, default=4000,
-        help="queries per mode for --perf ingest (default 4000)",
-    )
-    parser.add_argument(
         "--rounds", type=int, default=6,
-        help="tuning rounds to split iterations over (default 6)",
+        help="tuning rounds for --faults (default 6)",
     )
     parser.add_argument(
         "--out", default=None,
-        help="output JSON path for --perf/--faults (defaults to "
-             "BENCH_<target>.json)",
+        help="output JSON path for --faults (defaults to "
+             "BENCH_chaos.json, or BENCH_regret.json with --regret)",
     )
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("list", help="list available experiments")
@@ -309,24 +264,11 @@ def main(argv: List[str] | None = None) -> int:
             args.seed, args.rate, args.rounds, args.fault_kind, out,
             backend=args.backend,
         )
-    if args.perf:
-        if args.iterations < 1:
-            parser.error("--iterations must be >= 1")
-        if args.rounds < 1:
-            parser.error("--rounds must be >= 1")
-        if args.queries < 1:
-            parser.error("--queries must be >= 1")
-        out = args.out or f"BENCH_{args.perf}.json"
-        return run_perf(
-            args.perf, args.iterations, args.rounds, out,
-            queries=args.queries,
-        )
     if args.backend:
         return run_backend(args.backend, args.seed)
     if args.command is None:
         parser.error(
-            "a command is required unless --perf/--faults/--backend "
-            "is given"
+            "a command is required unless --faults/--backend is given"
         )
     if args.command == "list":
         list_experiments()

@@ -84,13 +84,9 @@ class AutoIndexAdvisor:
         rollouts: int = 3,
         top_templates: int = 120,
         use_templates: bool = True,
-        train_sample_rate: float = 0.05,
         seed: int = 17,
-        delta_costing: bool = True,
         mcts_deadline_seconds: Optional[float] = None,
         mcts_max_evaluations: Optional[int] = None,
-        pipeline: Optional[TuningPipeline] = None,
-        incremental_diagnosis: bool = True,
         apply_mode: str = "auto",
         regret_bound: Optional[float] = None,
         regret_headroom: float = 1.0,
@@ -100,7 +96,6 @@ class AutoIndexAdvisor:
         self.storage_budget = storage_budget
         self.top_templates = top_templates
         self.use_templates = use_templates
-        self.train_sample_rate = train_sample_rate
         self.mcts_deadline_seconds = mcts_deadline_seconds
         # The store parses through the backend on raw-cache misses,
         # keeping the engine's statement cache and injected parser
@@ -124,17 +119,11 @@ class AutoIndexAdvisor:
             rollouts=rollouts,
             seed=seed,
             rng=self.rng,
-            delta_costing=delta_costing,
             deadline_seconds=mcts_deadline_seconds,
             max_evaluations=mcts_max_evaluations,
         )
-        self.diagnosis = IndexDiagnosis(
-            db, self.store, self.generator,
-            incremental=incremental_diagnosis,
-        )
-        self.pipeline = (
-            pipeline if pipeline is not None else TuningPipeline()
-        )
+        self.diagnosis = IndexDiagnosis(db, self.store, self.generator)
+        self.pipeline = TuningPipeline()
         # The regret-bounded apply layer: benefit ledger, shadow
         # gate, and the DBA review queue. With the defaults
         # (apply_mode="auto", no regret_bound) the gate never holds a

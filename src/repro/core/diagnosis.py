@@ -79,9 +79,9 @@ class IndexDiagnosis:
       :meth:`CandidateGenerator.generate_from`, the exact code the
       full path uses.
 
-    ``incremental=False`` pins the original full-scan path; the
-    parity suite asserts both paths produce equal reports on the
-    same inputs.
+    ``incremental=False`` runs the full-scan path instead: the
+    reference the parity tests compare the incremental reports
+    against. The advisor always diagnoses incrementally.
     """
 
     def __init__(
@@ -235,7 +235,7 @@ class IndexDiagnosis:
         protected: Sequence[IndexDef],
         top_templates: int,
     ) -> IndexProblemReport:
-        """The pinned pre-incremental path: full usage scan + full
+        """The full-scan reference path: full usage scan + full
         candidate generation, no caches consulted or populated."""
         report = IndexProblemReport(
             regression=self.db.monitor.regression_detected()

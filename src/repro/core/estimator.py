@@ -42,12 +42,10 @@ from repro.sql import ast
 from repro.sql.lexer import SqlSyntaxError
 
 
-#: Single sizing knob for the estimator's bounded caches. Both LRU
-#: tiers (cost and features) and the parsed-sample cache default to
-#: this; pass an explicit size (0 disables a tier) to override. The
-#: sizes live here — and only here — so the tiers cannot silently
-#: drift apart again (the full-mode bench once ran with a disabled
-#: feature tier while delta mode got 50 000).
+#: Default size of the estimator's bounded caches. ``cache_size``
+#: sizes both LRU tiers (cost and features) and the parsed-sample
+#: cache together, so the tiers cannot drift apart; 0 disables all
+#: three.
 DEFAULT_CACHE_SIZE = 50_000
 
 
@@ -278,27 +276,14 @@ class BenefitEstimator:
         backend: TuningBackend,
         model=None,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        feature_cache_size: Optional[int] = None,
         max_predict_retries: int = 3,
         clock: Optional[VirtualClock] = None,
-        vectorized: bool = True,
     ):
-        # ``feature_cache_size=None`` follows ``cache_size`` so one
-        # argument sizes both tiers; benchmarks that deliberately
-        # disable a tier must say so with an explicit 0.
-        if feature_cache_size is None:
-            feature_cache_size = cache_size
         self.backend = backend
-        #: ``vectorized=False`` pins the per-template scalar costing
-        #: path (one what-if overlay per statement, elementwise
-        #: aggregation) — kept for the perf bench baseline and the
-        #: batch-equals-scalar property tests. Results are bitwise
-        #: identical either way.
-        self.vectorized = vectorized
         self.model = model if model is not None else WhatIfCostModel()
         self.history: List[HistorySample] = []
         self._cache = LruCache(cache_size)
-        self._feature_cache = LruCache(feature_cache_size)
+        self._feature_cache = LruCache(cache_size)
         self._tables_cache: Dict[str, Tuple[str, ...]] = {}
         self._sample_cache = LruCache(cache_size)
         self._inverted_cache = LruCache(8)
@@ -369,11 +354,6 @@ class BenefitEstimator:
         # The cost tier is model-dependent; predictions cached from
         # the demoted model must not mix with fallback predictions.
         self._cache.clear()
-
-    @property
-    def db(self) -> TuningBackend:
-        """Backward-compatible alias for :attr:`backend`."""
-        return self.backend
 
     def _check_version(self) -> None:
         """Flush both tiers if the data changed underneath us.
@@ -508,8 +488,8 @@ class BenefitEstimator:
         ``model.predict`` call. Hits stay scalar writes on purpose —
         delta batches are a dozen positions, below the break-even
         point of array gather/scatter. Every step performs the same
-        IEEE operations as the per-template path, so results are
-        bitwise identical to it.
+        IEEE operations as :meth:`query_cost`, so each entry is
+        bitwise identical to ``weight * query_cost(template, config)``.
         """
         # One pass over the config up front; per template only its
         # (few) relevant definitions are touched, not the whole
@@ -523,9 +503,7 @@ class BenefitEstimator:
         table_sigs: Dict[str, Tuple] = {}
         identity = self.backend.index_identity
         cache_get = self._cache.get
-        missing: List[
-            Tuple[int, Tuple, float, QueryTemplate, Optional[CostFeatures]]
-        ] = []
+        missing: List[Tuple[int, Tuple, float, QueryTemplate]] = []
         for i in positions:
             template = templates[i]
             # Inlined max(template.weight, 0.1) — property and call
@@ -552,21 +530,7 @@ class BenefitEstimator:
             if cached is not None:
                 out[i] = weight * cached
                 continue
-            if self.vectorized:
-                missing.append((i, key, weight, template, None))
-            else:
-                # Scalar pin: plan each statement through its own
-                # what-if overlay window (the pre-batch path) and
-                # carry the features along — they must not depend on
-                # the feature tier being enabled.
-                relevant = [
-                    d
-                    for table in tables
-                    for d in by_table.get(table, ())
-                ]
-                relevant.sort(key=lambda d: d.key)
-                feats = self._features_for(template, key, relevant)
-                missing.append((i, key, weight, template, feats))
+            missing.append((i, key, weight, template))
         if not missing:
             return
         features = self._batch_features(missing, config)
@@ -574,23 +538,19 @@ class BenefitEstimator:
         # lint: ignore[cache-key] -- model swaps flush the cost tier (train/clear_cache)
         predicted = self._predict(matrix)
         self.estimate_calls += len(missing)
-        for (i, key, weight, _template, _f), raw in zip(missing, predicted):
+        for (i, key, weight, _template), raw in zip(missing, predicted):
             cost = float(raw)
             self._cache.put(key, cost)
             out[i] = weight * cost
 
     def _batch_features(
         self,
-        missing: Sequence[
-            Tuple[int, Tuple, float, QueryTemplate, Optional[CostFeatures]]
-        ],
+        missing: Sequence[Tuple[int, Tuple, float, QueryTemplate]],
         config: Sequence[IndexDef],
     ) -> List[CostFeatures]:
         """Feature vectors for the cost-tier misses of one evaluation.
 
-        An entry carrying pre-planned features (the scalar pin) is
-        used as-is. The rest are looked up in the feature tier;
-        feature-tier misses are planned together through
+        Each is looked up in the feature tier; feature-tier misses are planned together through
         :func:`compute_features_batch` under the *full* configuration:
         a statement's plan and maintenance charge only depend on the
         indexes of its referenced tables, so planning under the full
@@ -602,23 +562,18 @@ class BenefitEstimator:
         """
         features: List[Optional[CostFeatures]] = []
         unplanned: List[int] = []
-        for pos, (_i, key, _weight, template, carried) in enumerate(
-            missing
-        ):
-            cached = (
-                carried
-                if carried is not None
-                else self._feature_cache.get(key)
-            )
+        for pos, (_i, key, _weight, _template) in enumerate(missing):
+            cached = self._feature_cache.get(key)
             features.append(cached)
             if cached is None:
                 unplanned.append(pos)
         if unplanned:
             if self.faults is not None:
                 for pos in unplanned:
-                    _i, key, _weight, template, _f = missing[pos]
+                    template = missing[pos][3]
+                    key, relevant = self._relevant_config(template, config)
                     features[pos] = self._features_for(
-                        template, key, self._relevant_of(template, config)
+                        template, key, relevant
                     )
             else:
                 statements = [
@@ -633,15 +588,6 @@ class BenefitEstimator:
                     self._feature_cache.put(missing[pos][1], feats)
                     features[pos] = feats
         return features  # type: ignore[return-value]
-
-    def _relevant_of(
-        self, template: QueryTemplate, config: Sequence[IndexDef]
-    ) -> List[IndexDef]:
-        """The config subset touching the template's tables."""
-        table_set = set(self._tables_of(template))
-        relevant = [d for d in config if d.table in table_set]
-        relevant.sort(key=lambda d: d.key)
-        return relevant
 
     def workload_cost(
         self,
@@ -803,11 +749,6 @@ class BenefitEstimator:
         )
         key = (template.fingerprint, self.backend.index_identity(relevant))
         return key, relevant
-
-    def _cache_key(
-        self, template: QueryTemplate, config: Sequence[IndexDef]
-    ) -> Tuple:
-        return self._relevant_config(template, config)[0]
 
     def clear_cache(self, include_features: bool = False) -> None:
         """Drop predicted costs; optionally the planned features too.

@@ -165,7 +165,6 @@ class MctsIndexSelector:
         patience: int = 25,
         seed: int = 17,
         rng: Optional[random.Random] = None,
-        delta_costing: bool = True,
         deadline_seconds: Optional[float] = None,
         max_evaluations: Optional[int] = None,
     ):
@@ -186,7 +185,6 @@ class MctsIndexSelector:
         # lets callers share one stream across components); ``seed``
         # is the convenience fallback.
         self.rng = rng if rng is not None else random.Random(seed)
-        self.delta_costing = delta_costing
         self.tree = PolicyTree()
         # Search-scoped state (reset per round).
         self._universe: Dict[IndexKey, IndexDef] = {}
@@ -527,12 +525,11 @@ class MctsIndexSelector:
     ) -> Tuple[float, np.ndarray]:
         """Workload cost of ``config`` plus its per-template cost array.
 
-        With delta costing enabled and a reference available, only
-        templates touching tables whose index set differs from the
-        reference are re-costed; the result is bitwise identical to a
+        With a reference available, only templates touching tables
+        whose index set differs from the reference are re-costed; the result is bitwise identical to a
         full recomputation (the estimator guarantees it).
         """
-        if self.delta_costing and ref is not None:
+        if ref is not None:
             ref_config, ref_costs = ref
             # The frozenset symmetric difference gives the changed
             # tables directly (every index key starts with its table

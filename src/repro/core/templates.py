@@ -109,7 +109,8 @@ class TemplateStore:
         self.cold_threshold = cold_threshold
         self.drift_window = drift_window
         self.drift_miss_ratio = drift_miss_ratio
-        #: 0 disables the raw-key fast path (full-parse mode).
+        #: 0 disables the raw-key fast path: every statement parses
+        #: (the reference the ingest parity tests compare against).
         self.raw_cache_size = raw_cache_size
         #: every Nth cache hit is re-parsed and compared; 0 disables.
         self.parity_check_every = parity_check_every

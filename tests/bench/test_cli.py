@@ -45,59 +45,11 @@ class TestSummarise:
         assert "x: 1" in out and "y: 2" in out
 
 
-class TestPerfArguments:
-    def test_bad_workers_rejected(self):
-        # Rollout costing is serial; --workers is not an option.
+class TestPerfRemoved:
+    def test_perf_flag_rejected(self):
+        # Performance is measured by perfbench/; the CLI has no --perf.
         with pytest.raises(SystemExit):
-            cli.main(["--perf", "mcts", "--workers", "2"])
-
-    def test_unknown_perf_target_rejected(self):
-        with pytest.raises(SystemExit):
-            cli.main(["--perf", "nope"])
-
-
-class TestPerfBenchSmoke:
-    """Tiny end-to-end runs of the perf benchmarks."""
-
-    def test_mcts_perf_three_modes(self, tmp_path):
-        from repro.bench.perf import run_mcts_perf
-
-        out = tmp_path / "mcts.json"
-        report = run_mcts_perf(
-            iterations=6, rounds=2, out_path=str(out),
-            observe_queries=60,
-        )
-        assert out.exists()
-        assert report["identical_result"] is True
-        for mode in ("full", "delta", "vectorized"):
-            assert report[mode]["wall_seconds"] > 0
-        assert "parallel" not in report
-        assert report["speedup_vectorized"] > 0
-        assert report["speedup_vectorized_vs_full"] > 0
-        assert report["machine"]["cpu_count"] >= 1
-
-    def test_ingest_perf_three_modes(self, tmp_path):
-        from repro.bench.perf import run_ingest_perf
-
-        out = tmp_path / "ingest.json"
-        report = run_ingest_perf(
-            queries=300, out_path=str(out), diagnosis_every=100
-        )
-        assert out.exists()
-        assert report["identical_result"] is True
-        assert report["normalizer_version"] >= 1
-        assert report["machine"]["cpu_count"] >= 1
-        for mode in ("full", "cached", "cached_incremental"):
-            result = report[mode]
-            assert result["queries_per_second"] > 0
-            assert result["diagnosis_passes"] == 3
-            assert result["templates"] == sum(
-                result["shard_stats"].values()
-            )
-        # Full-parse mode never touches the raw-key cache; the fast
-        # modes resolve nearly everything through it.
-        assert report["full"]["raw_cache"]["hits"] == 0
-        assert report["cached"]["raw_cache"]["hits"] > 0
+            cli.main(["--perf", "mcts"])
 
 
 class TestFaultsArguments:

@@ -240,9 +240,10 @@ class TestFeatureTierSurvivesRetrain:
 
 
 class TestMctsDeltaWiring:
-    def _search(self, tpcc, **kwargs):
+    def _search(self, tpcc, estimator=None, **kwargs):
         db, templates, candidates = tpcc
-        estimator = BenefitEstimator(db)
+        if estimator is None:
+            estimator = BenefitEstimator(db)
         selector = MctsIndexSelector(
             estimator, iterations=40, rollouts=2, **kwargs
         )
@@ -254,9 +255,18 @@ class TestMctsDeltaWiring:
             protected=[d for d in existing if d.unique],
         )
 
-    def test_delta_and_full_find_identical_result(self, tpcc):
-        on = self._search(tpcc, seed=23, delta_costing=True)
-        off = self._search(tpcc, seed=23, delta_costing=False)
+    def test_delta_and_full_find_identical_result(self, tpcc, monkeypatch):
+        on = self._search(tpcc, seed=23)
+        # Reference: every delta evaluation recomputed in full.
+        full = BenefitEstimator(tpcc[0])
+
+        def full_delta(parent_costs, templates, parent_config,
+                       child_config, changed_tables=None):
+            costs = full.workload_costs(templates, child_config)
+            return float(costs.sum()), costs
+
+        monkeypatch.setattr(full, "workload_cost_delta", full_delta)
+        off = self._search(tpcc, estimator=full, seed=23)
         assert on.best_benefit == off.best_benefit
         assert [d.key for d in on.best_config] == [
             d.key for d in off.best_config

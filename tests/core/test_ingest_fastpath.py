@@ -9,6 +9,7 @@ the cache and the incremental caches may only change wall time.
 
 import pytest
 
+from repro.bench.harness import prepare_database
 from repro.core.advisor import AutoIndexAdvisor
 from repro.core.candidates import CandidateGenerator
 from repro.core.diagnosis import IndexDiagnosis
@@ -17,6 +18,7 @@ from repro.engine.index import IndexDef
 from repro.sql import parse
 from repro.sql.lexer import SqlSyntaxError
 from repro.sql.normalize import raw_key
+from repro.workloads.tpcc import TpccWorkload
 
 
 def counting_parse():
@@ -288,6 +290,58 @@ class TestIncrementalDiagnosisParity:
         # must be recomputed, not replayed.
         second = diagnosis.diagnose()
         assert unused in second.rarely_used
+
+
+def ordered_report(report):
+    """Every field of a report, list order kept."""
+    return (
+        [str(d) for d in report.missing_beneficial],
+        [str(d) for d in report.rarely_used],
+        [str(d) for d in report.negative],
+        report.considered,
+        report.regression,
+        [str(d) for d in report.auto_revert],
+    )
+
+
+def stream_tpcc(raw_cache_size, incremental, queries=300, every=100):
+    """Observe a TPC-C stream, diagnosing every ``every`` queries."""
+    generator = TpccWorkload(scale=1, seed=11)
+    db = prepare_database(generator)
+    kwargs = {} if raw_cache_size is None else {
+        "raw_cache_size": raw_cache_size
+    }
+    store = TemplateStore(parse_fn=db.parse_statement, **kwargs)
+    diagnosis = IndexDiagnosis(
+        db, store, CandidateGenerator(db), incremental=incremental
+    )
+    reports = []
+    for i, query in enumerate(generator.queries(queries, seed=17), 1):
+        store.observe(query.sql)
+        if i % every == 0:
+            reports.append(ordered_report(diagnosis.diagnose()))
+    return store, reports
+
+
+class TestTpccIngestParity:
+    """The fast paths on TPC-C equal full parse plus full scan."""
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_fast_paths_identical_to_full_parse_and_scan(
+        self, incremental
+    ):
+        full_store, full_reports = stream_tpcc(
+            raw_cache_size=0, incremental=False
+        )
+        store, reports = stream_tpcc(
+            raw_cache_size=None, incremental=incremental
+        )
+        assert store.raw_cache_stats()["hits"] > 0
+        assert full_store.raw_cache_stats()["hits"] == 0
+        assert template_state(store) == template_state(full_store)
+        assert store.shard_stats() == full_store.shard_stats()
+        assert len(reports) == 3
+        assert reports == full_reports
 
 
 class TestCheckpointRoundTrip:
