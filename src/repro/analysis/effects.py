@@ -32,7 +32,7 @@ import ast
 import builtins
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.graph import (
     RANDOM_REF,
@@ -835,9 +835,3 @@ class EffectIndex:
                     seen.add(callee)
                     queue.append((callee, chain + (callee,)))
         return reached, protocol_calls
-
-    # -- convenience --------------------------------------------------------
-
-    def iter_functions(self) -> Iterator[FunctionEffects]:
-        for qualname in sorted(self.functions):
-            yield self.functions[qualname]

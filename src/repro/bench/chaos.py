@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.bench.harness import prepare_database
 from repro.core.advisor import AutoIndexAdvisor
+from repro.core.safety import SafetyPolicy
 from repro.engine.faults import (
     FaultError,
     FaultInjector,
@@ -268,7 +269,7 @@ def _run_regret_loop(
         db,
         mcts_iterations=mcts_iterations,
         seed=seed,
-        regret_bound=regret_bound,
+        safety=SafetyPolicy(regret_bound=regret_bound),
     )
     # Swap in the adversary after construction: the advisor tunes
     # with a model that systematically over-promises.

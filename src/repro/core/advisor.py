@@ -37,16 +37,17 @@ from repro.core.estimator import (
     EstimatorUnavailable,
 )
 from repro.core.mcts import MctsIndexSelector
-from repro.core.safety import (
-    PendingRecommendation,
-    SafetyController,
-)
+from repro.core.safety import PendingRecommendation, SafetyPolicy
 from repro.core.pipeline import (
     TuningContext,
     TuningPipeline,
     TuningReport,
 )
-from repro.core.templates import QueryTemplate, TemplateStore
+from repro.core.templates import (
+    DEFAULT_TEMPLATE_CAPACITY,
+    QueryTemplate,
+    TemplateStore,
+)
 from repro.engine.faults import FaultError
 from repro.engine.index import IndexDef
 from repro.ports.backend import TuningBackend
@@ -66,37 +67,31 @@ class AutoIndexAdvisor:
             advisor.observe(q.sql)
         advisor.tune()          # diagnose → candidates → MCTS → apply
 
-    Parameters mirror the paper's knobs: template capacity, the
-    candidate selectivity threshold, the MCTS exploration constant
-    gamma, and the storage budget. ``mcts_deadline_seconds`` /
-    ``mcts_max_evaluations`` bound the search (anytime: best-so-far
-    is returned when the deadline hits).
+    Parameters mirror the paper's knobs: template capacity, the MCTS
+    exploration constant gamma, and the storage budget. ``safety``
+    is the apply policy (see :class:`~repro.core.safety.SafetyPolicy`):
+    the default applies freely, ``SafetyPolicy(apply_mode="review")``
+    queues every change for a DBA, and a ``regret_bound`` gates
+    applies on the benefit ledger.
     """
 
     def __init__(
         self,
         db: TuningBackend,
         storage_budget: Optional[int] = None,
-        template_capacity: int = 5000,
-        selectivity_threshold: float = 1.0 / 3.0,
+        template_capacity: int = DEFAULT_TEMPLATE_CAPACITY,
         gamma: float = 0.4,
         mcts_iterations: int = 60,
         rollouts: int = 3,
         top_templates: int = 120,
         use_templates: bool = True,
         seed: int = 17,
-        mcts_deadline_seconds: Optional[float] = None,
-        mcts_max_evaluations: Optional[int] = None,
-        apply_mode: str = "auto",
-        regret_bound: Optional[float] = None,
-        regret_headroom: float = 1.0,
-        safety: Optional[SafetyController] = None,
+        safety: Optional[SafetyPolicy] = None,
     ):
         self.db = db
         self.storage_budget = storage_budget
         self.top_templates = top_templates
         self.use_templates = use_templates
-        self.mcts_deadline_seconds = mcts_deadline_seconds
         # The store parses through the backend on raw-cache misses,
         # keeping the engine's statement cache and injected parser
         # faults on the miss path.
@@ -104,9 +99,7 @@ class AutoIndexAdvisor:
             capacity=template_capacity,
             parse_fn=db.parse_statement,
         )
-        self.generator = CandidateGenerator(
-            db, selectivity_threshold=selectivity_threshold
-        )
+        self.generator = CandidateGenerator(db)
         self.estimator = BenefitEstimator(db)
         # One seeded stream shared by the whole advisor; the context
         # hands it to every stage so a round's randomness is a single
@@ -119,27 +112,16 @@ class AutoIndexAdvisor:
             rollouts=rollouts,
             seed=seed,
             rng=self.rng,
-            deadline_seconds=mcts_deadline_seconds,
-            max_evaluations=mcts_max_evaluations,
         )
         self.diagnosis = IndexDiagnosis(db, self.store, self.generator)
         self.pipeline = TuningPipeline()
         # The regret-bounded apply layer: benefit ledger, shadow
-        # gate, and the DBA review queue. With the defaults
+        # gate, and the DBA review queue. With the default policy
         # (apply_mode="auto", no regret_bound) the gate never holds a
         # change back — the ledger still records, so enabling a bound
-        # later starts from real history. A prebuilt controller (the
-        # tenant registry constructs one per tenant from its
-        # SafetyPolicy) takes precedence over the scalar knobs.
-        self.safety = (
-            safety
-            if safety is not None
-            else SafetyController(
-                apply_mode=apply_mode,
-                regret_bound=regret_bound,
-                regret_headroom=regret_headroom,
-            )
-        )
+        # later starts from real history.
+        policy = safety if safety is not None else SafetyPolicy()
+        self.safety = policy.controller()
         self.statements_analyzed = 0
         self.observe_failures = 0
         self._observed_since_training = 0
@@ -345,7 +327,6 @@ class AutoIndexAdvisor:
             rng=self.rng,
             faults=getattr(self.db, "faults", None),
             storage_budget=self.storage_budget,
-            deadline_seconds=self.mcts_deadline_seconds,
             top_templates=self.top_templates,
             protected=self.protected_indexes(),
             force=force,

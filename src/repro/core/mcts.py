@@ -33,7 +33,7 @@ import numpy as np
 from repro.core.estimator import BenefitEstimator
 from repro.core.templates import QueryTemplate
 from repro.engine.index import IndexDef
-from repro.engine.metrics import CacheStats, Stopwatch
+from repro.engine.metrics import CacheStats
 
 IndexKey = Tuple[str, Tuple[str, ...]]
 
@@ -165,7 +165,6 @@ class MctsIndexSelector:
         patience: int = 25,
         seed: int = 17,
         rng: Optional[random.Random] = None,
-        deadline_seconds: Optional[float] = None,
         max_evaluations: Optional[int] = None,
     ):
         self.estimator = estimator
@@ -175,11 +174,9 @@ class MctsIndexSelector:
         self.rollout_depth = rollout_depth
         self.max_children = max_children
         self.patience = patience
-        # Anytime-search bounds: a cooperative wall-clock deadline
-        # (checked between iterations, never mid-evaluation) and a
-        # deterministic evaluation cap. Both return best-so-far
-        # instead of raising; None disables each.
-        self.deadline_seconds = deadline_seconds
+        # Anytime-search bound: a deterministic evaluation cap,
+        # checked between iterations, never mid-evaluation. Hitting it
+        # returns best-so-far instead of raising; None disables it.
         self.max_evaluations = max_evaluations
         # An injected RNG makes rollouts reproducible run-to-run (and
         # lets callers share one stream across components); ``seed``
@@ -252,16 +249,8 @@ class MctsIndexSelector:
         stale_rounds = 0
         iterations_run = 0
         deadline_hit = False
-        timer = (
-            Stopwatch() if self.deadline_seconds is not None else None
-        )
 
         for _ in range(self.iterations):
-            if timer is not None and (
-                timer.elapsed() >= self.deadline_seconds
-            ):
-                deadline_hit = True
-                break
             if self.max_evaluations is not None and (
                 self._evaluations >= self.max_evaluations
             ):
@@ -286,8 +275,8 @@ class MctsIndexSelector:
             # budget by dropping the worst benefit-per-byte indexes —
             # which greedy repair can turn into a strong configuration
             # even when search never visited it directly. Skipped
-            # entirely once the deadline fires: polish costs many more
-            # evaluations, and anytime search promises best-so-far
+            # entirely once the evaluation cap fires: polish costs many
+            # more evaluations, and anytime search promises best-so-far
             # *now*.
             union = root_config | {
                 c.key

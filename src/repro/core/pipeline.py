@@ -4,10 +4,9 @@ One tuning round used to be a single monolithic ``tune()`` method;
 here it is decomposed into explicit, composable stages sharing a
 :class:`TuningContext`. The context carries everything a round needs —
 the backend, the advisor's components, the seeded rng, the fault
-plan, the storage budget, the search deadline, and the resilience
-counters — so stages stay stateless, can be reordered or replaced in
-tests, and per-shard sessions can later run whole pipelines
-concurrently, one context each.
+plan, the storage budget, the safety controller, and the resilience
+counters — so stages stay stateless, and per-shard sessions can later
+run whole pipelines concurrently, one context each.
 
 Stage contract: ``run(ctx)`` mutates the context (and the report
 inside it) and may set ``ctx.done = True`` to short-circuit the rest
@@ -60,7 +59,7 @@ class TuningReport:
     # Resilience counters for the round: estimator predict retries,
     # model→what-if fallbacks, index changes undone (changeset
     # rollback + observation-window auto-reverts), and whether the
-    # MCTS deadline cut the search short.
+    # MCTS evaluation cap cut the search short.
     retries: int = 0
     fallbacks: int = 0
     rolled_back: int = 0
@@ -207,11 +206,12 @@ class TuningContext:
     estimator: BenefitEstimator
     selector: MctsIndexSelector
     diagnosis: IndexDiagnosis
-    # Round configuration: randomness, faults, budget, deadline.
+    #: The regret-bounded apply layer: ledger, gate and review queue.
+    safety: SafetyController
+    # Round configuration: randomness, faults, budget.
     rng: random.Random = field(default_factory=lambda: random.Random(17))
     faults: Optional[FaultInjector] = None
     storage_budget: Optional[int] = None
-    deadline_seconds: Optional[float] = None
     top_templates: int = 120
     protected: List[IndexDef] = field(default_factory=list)
     force: bool = True
@@ -220,9 +220,6 @@ class TuningContext:
     #: sharded store serves them without scanning every shard);
     #: ``None`` tunes against the whole workload.
     scope_tables: Optional[List[str]] = None
-    #: The regret-bounded apply layer; ``None`` runs the pre-safety
-    #: pipeline (no ledger, no gate) for contexts built by hand.
-    safety: Optional[SafetyController] = None
     # Round state.
     report: TuningReport = field(default_factory=TuningReport)
     timer: Stopwatch = field(default_factory=Stopwatch)
@@ -255,10 +252,7 @@ class TuningContext:
             report.degraded = self.estimator.degraded_reason
         report.statements_analyzed = statements_analyzed
         report.elapsed_seconds = self.timer.elapsed()
-        if self.safety is not None:
-            report.cumulative_regret = (
-                self.safety.ledger.cumulative_regret
-            )
+        report.cumulative_regret = self.safety.ledger.cumulative_regret
         return report
 
 
@@ -283,7 +277,7 @@ class ObserveStage:
     def run(self, ctx: TuningContext) -> None:
         reverted = ctx.diagnosis.check_applied()
         closed = ctx.diagnosis.pop_closed()
-        if ctx.safety is not None and closed:
+        if closed:
             self._settle_ledger(ctx, closed)
         if reverted:
             changeset = IndexChangeSet(ctx.backend)
@@ -321,7 +315,6 @@ class ObserveStage:
         advisor's control has nothing measurable and its claim is
         withdrawn.
         """
-        assert ctx.safety is not None
         ledger = ctx.safety.ledger
         measurable = []
         for definition, how in closed:
@@ -448,8 +441,6 @@ class ShadowStage:
         result = ctx.result
         assert result is not None, "SearchStage must run before ShadowStage"
         safety = ctx.safety
-        if safety is None:
-            return
         if not result.additions and not result.removals:
             return  # nothing to gate; ApplyStage finishes the report
         try:
@@ -535,8 +526,7 @@ class ApplyStage:
             report.created = list(result.additions)
             report.dropped.extend(result.removals)
             ctx.diagnosis.register_applied(result.additions)
-            if ctx.safety is not None:
-                self._open_claims(ctx, result)
+            self._open_claims(ctx, result)
             if result.additions or result.removals:
                 ctx.backend.reset_index_usage()
 
@@ -547,13 +537,12 @@ class ApplyStage:
         """Record each applied arm's predicted benefit in the ledger.
 
         The per-arm split comes from the shadow evaluation when it
-        ran; without one (safety off for the round, or costing down)
-        the search's total benefit is split evenly across the
+        ran; without one (nothing to gate, or costing down) the
+        search's total benefit is split evenly across the
         additions — deterministic, and settled against real
         observations either way. Unique (constraint) indexes never
         enter the observation window, so no claim is opened for them.
         """
-        assert ctx.safety is not None
         ledger = ctx.safety.ledger
         watchable = [d for d in result.additions if not d.unique]
         if not watchable:
@@ -570,25 +559,19 @@ class ApplyStage:
             )
 
 
-def default_stages() -> List:
-    """The paper's round, in order."""
-    return [
-        ObserveStage(),
-        DiagnoseStage(),
-        CandidateStage(),
-        SearchStage(),
-        ShadowStage(),
-        ApplyStage(),
-    ]
-
-
 class TuningPipeline:
-    """Run stages in order, stopping early when a stage ends the round."""
+    """Run the paper's round stage by stage, in order, stopping early
+    when a stage ends the round."""
 
-    def __init__(self, stages: Optional[Sequence] = None):
-        self.stages = (
-            list(stages) if stages is not None else default_stages()
-        )
+    def __init__(self) -> None:
+        self.stages: List = [
+            ObserveStage(),
+            DiagnoseStage(),
+            CandidateStage(),
+            SearchStage(),
+            ShadowStage(),
+            ApplyStage(),
+        ]
 
     def run(self, ctx: TuningContext) -> TuningContext:
         for stage in self.stages:

@@ -73,8 +73,8 @@ class SafetyPolicy:
     own ledger, its own review queue, its own regret budget — so one
     tenant burning through its bound can never gate another tenant's
     applies, and a DBA verdict on one tenant's queue never leaks into
-    a neighbour's training data.  The library path uses the same
-    defaults through the advisor's scalar knobs.
+    a neighbour's training data.  The library path passes one to
+    :class:`~repro.core.advisor.AutoIndexAdvisor` the same way.
     """
 
     apply_mode: str = "auto"
@@ -281,9 +281,6 @@ class BenefitLedger:
         if samples == 0:
             return None
         return total / samples
-
-    def arm_stats(self) -> List[ArmStats]:
-        return list(self._arms.values())
 
     def summary(self) -> Dict[str, object]:
         """Counters for reports and bench output."""
@@ -749,8 +746,6 @@ class SafetyController:
         regret_bound: Optional[float] = None,
         regret_headroom: float = 1.0,
         gate_min_observations: int = 1,
-        ledger: Optional[BenefitLedger] = None,
-        queue: Optional[ReviewQueue] = None,
     ) -> None:
         if apply_mode not in ("auto", "review", "shadow"):
             raise ValueError(
@@ -761,8 +756,8 @@ class SafetyController:
         self.regret_bound = regret_bound
         self.regret_headroom = regret_headroom
         self.gate_min_observations = gate_min_observations
-        self.ledger = ledger if ledger is not None else BenefitLedger()
-        self.queue = queue if queue is not None else ReviewQueue()
+        self.ledger = BenefitLedger()
+        self.queue = ReviewQueue()
         self.gated_rounds = 0
 
     def gating_active(self) -> bool:

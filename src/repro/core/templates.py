@@ -22,6 +22,9 @@ from repro.sql import ast, parse
 from repro.sql.fingerprint import parameterize
 from repro.sql.normalize import raw_key
 
+#: Templates one store retains (the paper keeps 5000 for TPC-C).
+DEFAULT_TEMPLATE_CAPACITY = 5000
+
 
 @dataclass
 class QueryTemplate:
@@ -95,7 +98,7 @@ class TemplateStore:
 
     def __init__(
         self,
-        capacity: int = 5000,
+        capacity: int = DEFAULT_TEMPLATE_CAPACITY,
         decay_factor: float = 0.5,
         cold_threshold: float = 1.0,
         drift_window: int = 200,

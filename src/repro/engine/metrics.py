@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Hashable, List, Tuple
+from typing import Deque, Dict, Hashable, Tuple
 
 from repro.engine.index import IndexDef
 
@@ -206,10 +206,3 @@ class WorkloadMonitor:
         if prev <= 0 or len(self._previous) < self.window // 2:
             return False
         return self.mean_recent_cost() > prev * self.regression_factor
-
-    def recent_records(self) -> List[QueryRecord]:
-        return list(self._recent)
-
-    def reset_windows(self) -> None:
-        self._recent.clear()
-        self._previous.clear()

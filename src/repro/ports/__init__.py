@@ -15,7 +15,6 @@ from repro.ports.factory import (
     DEFAULT_BACKEND,
     available_backends,
     create_backend,
-    register_backend,
 )
 from repro.ports.memory import MemoryBackend
 from repro.ports.sqlite import SqliteBackend
@@ -36,7 +35,6 @@ __all__ = [
     "WhatIfCost",
     "available_backends",
     "create_backend",
-    "register_backend",
     "overlay_split",
     "planned_whatif",
     "strip_placeholders",

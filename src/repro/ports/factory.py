@@ -1,23 +1,16 @@
-"""Backend registry: construct a :class:`TuningBackend` by name.
+"""Backend factory: construct a :class:`TuningBackend` by name.
 
-The registry serves two callers that must share one code path:
+The factory serves two callers that must share one code path:
 
 * the single-database CLIs (``python -m repro.bench --backend sqlite``)
   that pick one adapter for the whole process, and
-* the serving daemon's :class:`~repro.serve.registry.TenantRegistry`,
-  where every tenant pins its own backend kind, reproducibility seed,
-  and template-store shard budget — many adapters of different kinds
-  live side by side in one process.
+* the serving daemon, where every tenant pins its own backend kind —
+  many adapters of different kinds live side by side in one process.
 
-Both go through :func:`create_backend`.  Per-tenant knobs that the
-adapter itself does not consume (the advisor seed, the template-store
-shard budget) travel on the returned backend as its
-:class:`BackendSpec`, so whoever wires an advisor on top (the tenant
-registry, the bench harness) reads the tenant's configuration off the
-backend instead of threading it through a second channel.
-
-Out-of-tree adapters register with :func:`register_backend`; the
-daemon accepts any registered kind in a tenant spec.
+Both go through :func:`create_backend`.  A tenant's backend record,
+:class:`BackendSpec`, lives in its
+:class:`~repro.serve.config.TenantSpec`, whose ``build()`` is the one
+place a tenant's backend and advisor are constructed.
 """
 
 from __future__ import annotations
@@ -45,13 +38,12 @@ DEFAULT_SEED = 17
 
 @dataclass(frozen=True)
 class BackendSpec:
-    """Per-tenant backend configuration, attached to every backend.
+    """A tenant's backend record inside its ``TenantSpec``.
 
-    ``seed`` seeds the advisor built on top of this backend;
-    ``shard_budget`` caps that advisor's template store (the
-    per-tenant memory bound — ``None`` keeps the advisor default).
-    Neither is consumed by the adapter itself, but carrying them on
-    the backend keeps one tenant's whole configuration in one place.
+    ``kind`` names the adapter :func:`create_backend` builds;
+    ``seed`` seeds the advisor built on top of it; ``shard_budget``
+    caps that advisor's template store (the per-tenant memory bound —
+    ``None`` keeps the library default capacity).
     """
 
     kind: str = DEFAULT_BACKEND
@@ -64,42 +56,16 @@ def available_backends() -> tuple:
     return tuple(sorted(_REGISTRY))
 
 
-def register_backend(
-    name: str, ctor: Callable[..., TuningBackend]
-) -> None:
-    """Register an adapter constructor under ``name``.
-
-    The constructor must accept the common ``(params=, faults=)``
-    keyword pair every in-tree adapter takes.  Re-registering an
-    existing name is an error — replacing an adapter under a running
-    daemon would silently change what tenants pinned to it mean.
-    """
-    if not name or not name.isidentifier():
-        raise ValueError(
-            f"backend name must be an identifier, got {name!r}"
-        )
-    if name in _REGISTRY:
-        raise ValueError(f"backend {name!r} is already registered")
-    _REGISTRY[name] = ctor
-
-
 def create_backend(
     name: str = DEFAULT_BACKEND,
     params: CostParams = DEFAULT_PARAMS,
     faults: Optional[FaultInjector] = None,
-    seed: Optional[int] = None,
-    shard_budget: Optional[int] = None,
-    **extra,
 ) -> TuningBackend:
     """Construct the named backend adapter.
 
     Every adapter takes the same (cost-model params, fault injector)
     pair, so callers — the bench harness, workload preparation, the
-    tenant registry, tests — stay backend-agnostic.  ``seed`` and
-    ``shard_budget`` are per-tenant advisor knobs recorded on the
-    returned backend's ``spec``; ``extra`` kwargs are forwarded to
-    the adapter constructor (for registered out-of-tree adapters
-    with their own options).
+    tenant registry, tests — stay backend-agnostic.
     """
     try:
         ctor = _REGISTRY[name]
@@ -108,10 +74,4 @@ def create_backend(
         raise ValueError(
             f"unknown backend {name!r} (known: {known})"
         ) from None
-    backend = ctor(params=params, faults=faults, **extra)
-    backend.spec = BackendSpec(
-        kind=name,
-        seed=seed if seed is not None else DEFAULT_SEED,
-        shard_budget=shard_budget,
-    )
-    return backend
+    return ctor(params=params, faults=faults)

@@ -6,6 +6,9 @@ backend it pins (kind + seed + template-store shard budget, via
 round-firing policy and round budget, the safety policy (per-tenant
 regret budget / apply mode), and optionally a workload generator that
 seeds the tenant's schema and data at creation time.
+:meth:`TenantSpec.build` is the one place a tenant's backend and
+advisor are constructed from it — the daemon's registry and the
+library-path parity replay both call it.
 
 Specs round-trip through dicts (for the daemon's wire protocol and
 the per-tenant ``serve.json`` checkpoint component) and parse from
@@ -18,11 +21,19 @@ the CLI's compact ``name,key=value,...`` spelling::
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
+from repro.core.advisor import AutoIndexAdvisor
 from repro.core.lifecycle import RoundBudget, RoundPolicy
 from repro.core.safety import SafetyPolicy
-from repro.ports.factory import BackendSpec, DEFAULT_BACKEND, DEFAULT_SEED
+from repro.core.templates import DEFAULT_TEMPLATE_CAPACITY
+from repro.ports.backend import TuningBackend
+from repro.ports.factory import (
+    BackendSpec,
+    DEFAULT_BACKEND,
+    DEFAULT_SEED,
+    create_backend,
+)
 from repro.workloads import (
     BankingWorkload,
     EpidemicWorkload,
@@ -72,6 +83,30 @@ class TenantSpec:
 
     def make_round_budget(self) -> RoundBudget:
         return RoundBudget(limit=self.round_budget)
+
+    def build(self) -> Tuple[TuningBackend, AutoIndexAdvisor]:
+        """A fresh backend (seeded with the workload, if any) and the
+        advisor tuning it, configured from this spec alone."""
+        backend = create_backend(self.backend.kind)
+        if self.workload is not None:
+            make_generator(self.workload, seed=self.workload_seed).build(
+                backend
+            )
+        capacity = self.backend.shard_budget
+        advisor = AutoIndexAdvisor(
+            backend,
+            storage_budget=self.storage_budget,
+            template_capacity=(
+                capacity if capacity is not None
+                else DEFAULT_TEMPLATE_CAPACITY
+            ),
+            mcts_iterations=self.mcts_iterations,
+            rollouts=self.rollouts,
+            top_templates=self.top_templates,
+            seed=self.backend.seed,
+            safety=self.safety,
+        )
+        return backend, advisor
 
     def to_dict(self) -> Dict[str, object]:
         return {

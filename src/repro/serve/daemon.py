@@ -34,7 +34,6 @@ from __future__ import annotations
 import threading
 from typing import Iterable, List, Optional
 
-from repro.engine.faults import VirtualClock
 from repro.serve.config import TenantSpec
 from repro.serve.registry import TenantRegistry
 from repro.serve.scheduler import RoundJob, RoundScheduler
@@ -50,17 +49,12 @@ class TuningDaemon:
         checkpoint_root=None,
         max_concurrent_rounds: int = 1,
         workers: int = 0,
-        clock: Optional[VirtualClock] = None,
-        checkpoint_each_round: bool = True,
     ):
         if workers < 0:
             raise ValueError("workers must be >= 0")
         self.registry = TenantRegistry(checkpoint_root=checkpoint_root)
-        self.scheduler = RoundScheduler(
-            max_concurrent=max_concurrent_rounds, clock=clock
-        )
+        self.scheduler = RoundScheduler(max_concurrent=max_concurrent_rounds)
         self.workers = workers
-        self.checkpoint_each_round = checkpoint_each_round
         #: Completed (or budget-skipped) round records, in admission
         #: order: {"tenant_id", "seq", "skipped", "report"|"reason"}.
         self.rounds: List[dict] = []
@@ -154,10 +148,7 @@ class TuningDaemon:
                     "skipped": False,
                     "report": report.to_dict(),
                 }
-                if (
-                    self.checkpoint_each_round
-                    and self.registry.checkpoint_root is not None
-                ):
+                if self.registry.checkpoint_root is not None:
                     runtime.save(self.registry.checkpoint_root)
                 requeue = runtime.session.due() and not (
                     runtime.session.budget.exhausted()

@@ -22,11 +22,9 @@ it in-process against a live daemon.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core import checkpoint
-from repro.core.advisor import AutoIndexAdvisor
-from repro.ports.factory import create_backend
 from repro.serve.config import TenantSpec, make_generator
 from repro.serve.registry import SERVE_COMPONENT
 
@@ -37,21 +35,17 @@ __all__ = [
     "compare_surfaces",
 ]
 
-#: Keep in sync with the registry's default (ports can't import core,
-#: so the advisor default is mirrored rather than imported there).
-_DEFAULT_TEMPLATE_CAPACITY = 5000
-
 
 def replay_library_path(
     spec: TenantSpec, statement_count: int
 ) -> dict:
     """Run a tenant's stream through the plain library path.
 
-    Rebuilds the tenant world from its spec (same backend kind, seed,
-    shard budget, workload, advisor knobs, safety policy), generates
-    the same ``statement_count``-long query stream, and fires
-    ``advisor.tune()`` at exactly the offsets the daemon's inline
-    session fires rounds: every ``round_every`` pending statements,
+    Rebuilds the tenant world through the same
+    :meth:`~repro.serve.config.TenantSpec.build` the daemon's registry
+    uses, generates the same ``statement_count``-long query stream,
+    and fires ``advisor.tune()`` at exactly the offsets the daemon's
+    inline session fires rounds: every ``round_every`` pending statements,
     capped by the round budget.  Returns the normalized surface.
     """
     if spec.workload is None:
@@ -59,28 +53,8 @@ def replay_library_path(
             f"tenant {spec.tenant_id!r} has no workload; the library "
             "replay needs a regenerable stream"
         )
-    backend = create_backend(
-        spec.backend.kind,
-        seed=spec.backend.seed,
-        shard_budget=spec.backend.shard_budget,
-    )
+    backend, advisor = spec.build()
     generator = make_generator(spec.workload, seed=spec.workload_seed)
-    generator.build(backend)
-    capacity = (
-        spec.backend.shard_budget
-        if spec.backend.shard_budget is not None
-        else _DEFAULT_TEMPLATE_CAPACITY
-    )
-    advisor = AutoIndexAdvisor(
-        backend,
-        storage_budget=spec.storage_budget,
-        template_capacity=capacity,
-        mcts_iterations=spec.mcts_iterations,
-        rollouts=spec.rollouts,
-        top_templates=spec.top_templates,
-        seed=spec.backend.seed,
-        safety=spec.safety.controller(),
-    )
     queries = generator.queries(
         statement_count, seed=spec.workload_seed
     )

@@ -1,11 +1,11 @@
 """The tenant registry: who owns each tuning context.
 
 One daemon process hosts many tenants; each tenant is a fully
-independent tuning world — its own backend (pinned kind + seed +
-template-store shard budget via :class:`~repro.ports.factory.
-BackendSpec`), its own :class:`~repro.core.advisor.AutoIndexAdvisor`
-(and therefore its own template store, estimator, rng stream, safety
-controller with per-tenant regret budget and ledger), and its own
+independent tuning world — its own backend and its own
+:class:`~repro.core.advisor.AutoIndexAdvisor` (and therefore its own
+template store, estimator, rng stream, safety controller with
+per-tenant regret budget and ledger), both built by
+:meth:`~repro.serve.config.TenantSpec.build`, and its own
 :class:`~repro.core.lifecycle.TuningSession` deciding when rounds are
 due.  Nothing is shared between tenants except the process.
 
@@ -26,18 +26,12 @@ import threading
 from typing import Dict, List
 
 from repro.core import checkpoint
-from repro.core.advisor import AutoIndexAdvisor
 from repro.core.lifecycle import TuningSession
-from repro.ports.factory import create_backend
-from repro.serve.config import TenantSpec, make_generator
+from repro.serve.config import TenantSpec
 
 __all__ = ["SERVE_COMPONENT", "TenantRuntime", "TenantRegistry"]
 
 SERVE_COMPONENT = "serve.json"
-
-#: Advisor default mirrored here so a tenant without an explicit
-#: shard budget gets the library default capacity.
-_DEFAULT_TEMPLATE_CAPACITY = 5000
 
 
 class TenantRuntime:
@@ -53,31 +47,7 @@ class TenantRuntime:
     def __init__(self, spec: TenantSpec):
         self.spec = spec
         self.lock = threading.RLock()
-        self.backend = create_backend(
-            spec.backend.kind,
-            seed=spec.backend.seed,
-            shard_budget=spec.backend.shard_budget,
-        )
-        if spec.workload is not None:
-            generator = make_generator(
-                spec.workload, seed=spec.workload_seed
-            )
-            generator.build(self.backend)
-        capacity = (
-            spec.backend.shard_budget
-            if spec.backend.shard_budget is not None
-            else _DEFAULT_TEMPLATE_CAPACITY
-        )
-        self.advisor = AutoIndexAdvisor(
-            self.backend,
-            storage_budget=spec.storage_budget,
-            template_capacity=capacity,
-            mcts_iterations=spec.mcts_iterations,
-            rollouts=spec.rollouts,
-            top_templates=spec.top_templates,
-            seed=spec.backend.seed,
-            safety=spec.safety.controller(),
-        )
+        self.backend, self.advisor = spec.build()
         self.session = TuningSession(
             self.advisor,
             policy=spec.round_policy(),

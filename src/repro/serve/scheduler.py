@@ -47,15 +47,11 @@ class RoundJob:
 class RoundScheduler:
     """Fair, bounded, deterministic admission of tuning rounds."""
 
-    def __init__(
-        self,
-        max_concurrent: int = 1,
-        clock: Optional[VirtualClock] = None,
-    ):
+    def __init__(self, max_concurrent: int = 1):
         if max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
         self.max_concurrent = max_concurrent
-        self.clock = clock if clock is not None else VirtualClock()
+        self.clock = VirtualClock()
         self._lock = threading.Lock()
         #: tenant id -> virtual enqueue time, in FIFO order.  A tenant
         #: appears at most once (queued) and never while running.
@@ -132,12 +128,6 @@ class RoundScheduler:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-
-    def has_work(self) -> bool:
-        with self._lock:
-            return bool(self._ready) and (
-                len(self._running) < self.max_concurrent
-            )
 
     def idle(self) -> bool:
         """True when nothing is queued or running."""

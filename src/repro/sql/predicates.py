@@ -175,10 +175,6 @@ class FilterPredicate:
     values: Tuple[object, ...] = ()
 
     @property
-    def is_equality(self) -> bool:
-        return self.op == "="
-
-    @property
     def is_range(self) -> bool:
         return self.op in ("<", "<=", ">", ">=", "between", "like")
 

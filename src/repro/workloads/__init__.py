@@ -6,7 +6,7 @@ starting point the paper's Default baseline keeps and AutoIndex
 incrementally updates.
 """
 
-from repro.workloads.base import LoadedWorkload, Query, WorkloadGenerator
+from repro.workloads.base import Query, WorkloadGenerator
 from repro.workloads.epidemic import EpidemicWorkload
 from repro.workloads.tpcc import TpccWorkload
 from repro.workloads.tpcds import TpcdsWorkload
@@ -17,7 +17,6 @@ __all__ = [
     "BankingWorkload",
     "DynamicWorkload",
     "EpidemicWorkload",
-    "LoadedWorkload",
     "Phase",
     "Query",
     "TpccWorkload",

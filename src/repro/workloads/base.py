@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.engine.index import IndexDef
 from repro.engine.schema import TableSchema
 from repro.ports.backend import TuningBackend
-from repro.ports.factory import DEFAULT_BACKEND, create_backend
 
 
 @dataclass(frozen=True)
@@ -57,32 +56,6 @@ class WorkloadGenerator(abc.ABC):
                 if not db.has_index(index_def):
                     db.create_index(index_def)
         db.analyze()
-
-
-@dataclass
-class LoadedWorkload:
-    """A database prepared for a scenario, plus a query stream."""
-
-    db: TuningBackend
-    generator: WorkloadGenerator
-    queries: List[Query] = field(default_factory=list)
-
-    @classmethod
-    def prepare(
-        cls,
-        generator: WorkloadGenerator,
-        query_count: int,
-        seed: int = 0,
-        with_defaults: bool = True,
-        backend: str = DEFAULT_BACKEND,
-    ) -> "LoadedWorkload":
-        db = create_backend(backend)
-        generator.build(db, with_defaults=with_defaults)
-        return cls(
-            db=db,
-            generator=generator,
-            queries=generator.queries(query_count, seed=seed),
-        )
 
 
 def weighted_choice(rng: random.Random, weights: Sequence[float]) -> int:

@@ -411,9 +411,8 @@ class TestAutoRevert:
 
 class TestAnytimeSearch:
     def test_max_evaluations_bounds_search(self, people_db):
-        advisor = AutoIndexAdvisor(
-            people_db, mcts_iterations=40, mcts_max_evaluations=1
-        )
+        advisor = AutoIndexAdvisor(people_db, mcts_iterations=40)
+        advisor.selector.max_evaluations = 1
         for sql in READS:
             people_db.execute(sql)
             advisor.observe(sql)
@@ -423,15 +422,14 @@ class TestAnytimeSearch:
         assert "deadline" in report.render()
 
     def test_zero_deadline_returns_immediately(self, people_db):
-        advisor = AutoIndexAdvisor(
-            people_db, mcts_iterations=40, mcts_deadline_seconds=0.0
-        )
+        advisor = AutoIndexAdvisor(people_db, mcts_iterations=40)
+        advisor.selector.max_evaluations = 0
         for sql in READS:
             people_db.execute(sql)
             advisor.observe(sql)
         report = advisor.tune()
         assert report.deadline_hit
-        assert report.created == []  # no time to find anything
+        assert report.created == []  # no budget to find anything
 
     def test_no_deadline_by_default(self, people_db):
         advisor = AutoIndexAdvisor(people_db, mcts_iterations=25)

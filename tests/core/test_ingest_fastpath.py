@@ -189,7 +189,7 @@ class TestCacheCoherence:
         self._cache_is_coherent(store)
 
 
-def ingest(db, diagnosis, store, statements, every=25):
+def ingest(db, diagnosis, store, statements, every=25, top_templates=100):
     reports = []
     for i, sql in enumerate(statements, 1):
         db.execute(sql)
@@ -199,7 +199,8 @@ def ingest(db, diagnosis, store, statements, every=25):
                 diagnosis.diagnose(
                     protected=[
                         d for d in db.index_defs() if d.unique
-                    ]
+                    ],
+                    top_templates=top_templates,
                 )
             )
     return reports
@@ -227,6 +228,16 @@ STATEMENTS = [
 ] + [
     f"UPDATE people SET temperature = 37.0 WHERE id = {i}"
     for i in range(20)
+]
+
+#: A dynamic workload: the hot template moves from ``community`` to
+#: ``name`` after the first diagnosis, inside the same table shard.
+PHASE_SHIFT = [
+    f"SELECT id FROM people WHERE community = {i % 20}"
+    for i in range(25)
+] + [
+    f"SELECT id FROM people WHERE name = 'person_{i}'"
+    for i in range(75)
 ]
 
 
@@ -259,6 +270,35 @@ class TestIncrementalDiagnosisParity:
         assert len(full_reports) == len(inc_reports) > 0
         for a, b in zip(full_reports, inc_reports):
             assert report_tuple(a) == report_tuple(b)
+
+    def test_phase_shift_reranks_hot_templates(self, people_db, people_db2):
+        """A shard whose version moved must be re-read: with one hot
+        template allowed, the report has to follow the phase shift."""
+        full_store = TemplateStore(raw_cache_size=0)
+        full = IndexDiagnosis(
+            people_db,
+            full_store,
+            CandidateGenerator(people_db),
+            incremental=False,
+        )
+        inc_store = TemplateStore()
+        inc = IndexDiagnosis(
+            people_db2,
+            inc_store,
+            CandidateGenerator(people_db2),
+        )
+        full_reports = ingest(
+            people_db, full, full_store, PHASE_SHIFT, top_templates=1
+        )
+        inc_reports = ingest(
+            people_db2, inc, inc_store, PHASE_SHIFT, top_templates=1
+        )
+        assert [ordered_report(r) for r in full_reports] == [
+            ordered_report(r) for r in inc_reports
+        ]
+        first, last = full_reports[0], full_reports[-1]
+        assert "community" in str(first.missing_beneficial)
+        assert "name" in str(last.missing_beneficial)
 
     def test_quiet_pass_reuses_classification(self, people_db):
         store = TemplateStore()

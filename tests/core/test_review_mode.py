@@ -1,6 +1,7 @@
 """DBA-in-the-loop review mode, end to end.
 
-The acceptance scenario: with ``apply_mode="review"`` the advisor
+The acceptance scenario: with a ``SafetyPolicy(apply_mode="review")``
+the advisor
 never touches the catalog on its own; recommendations queue with an
 explanation, a rejected recommendation is *never* applied while its
 verdict lands in the estimator's training data, and an accepted one
@@ -13,14 +14,18 @@ import pytest
 
 from repro import review
 from repro.core.advisor import AutoIndexAdvisor
+from repro.core.safety import SafetyPolicy
 from repro.engine.faults import FaultError, FaultPlan
 
 from .test_chaos import READS, attach
 
 
+REVIEW = SafetyPolicy(apply_mode="review")
+
+
 def reviewed_advisor(db, **kwargs):
     advisor = AutoIndexAdvisor(
-        db, mcts_iterations=40, seed=3, apply_mode="review", **kwargs
+        db, mcts_iterations=40, seed=3, safety=REVIEW, **kwargs
     )
     for sql in READS:
         db.execute(sql)
@@ -159,7 +164,7 @@ class TestOfflineReviewCli:
 
         # The advisor process restarts and acts on the verdict.
         fresh = AutoIndexAdvisor(
-            people_db, mcts_iterations=40, seed=3, apply_mode="review"
+            people_db, mcts_iterations=40, seed=3, safety=REVIEW
         )
         report = fresh.load_state(tmp_path)
         assert report.loaded("safety.json")
@@ -188,7 +193,7 @@ class TestOfflineReviewCli:
         )
 
         fresh = AutoIndexAdvisor(
-            people_db, mcts_iterations=40, seed=3, apply_mode="review"
+            people_db, mcts_iterations=40, seed=3, safety=REVIEW
         )
         fresh.load_state(tmp_path)
         fresh.process_review_verdicts()

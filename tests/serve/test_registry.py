@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core import checkpoint
-from repro.serve.config import make_generator, parse_tenant_spec
+from repro.core.safety import SafetyPolicy
+from repro.core.templates import DEFAULT_TEMPLATE_CAPACITY
+from repro.ports.factory import BackendSpec
+from repro.serve import parity
+from repro.serve.config import TenantSpec, make_generator, parse_tenant_spec
 from repro.serve.registry import TenantRegistry
 
 
@@ -35,9 +41,9 @@ def test_tenants_pin_different_backends_in_one_registry():
     sql = registry.create(
         parse_tenant_spec("s,backend=sqlite,seed=11,workload=banking")
     )
-    assert mem.backend.spec.kind == "memory"
-    assert sql.backend.spec.kind == "sqlite"
-    assert sql.backend.spec.seed == 11
+    assert mem.backend.name == "memory"
+    assert sql.backend.name == "sqlite"
+    assert sql.advisor.rng.getstate() == random.Random(11).getstate()
     assert type(mem.backend) is not type(sql.backend)
     assert registry.tenant_ids() == ["m", "s"]
 
@@ -48,6 +54,70 @@ def test_capacity_flows_from_spec_to_template_store():
         parse_tenant_spec("a,workload=banking,capacity=32")
     )
     assert runtime.advisor.store.capacity == 32
+
+
+def advisor_knobs(advisor):
+    safety = advisor.safety
+    return {
+        "capacity": advisor.store.capacity,
+        "storage_budget": advisor.storage_budget,
+        "top_templates": advisor.top_templates,
+        "iterations": advisor.selector.iterations,
+        "rollouts": advisor.selector.rollouts,
+        "rng": advisor.rng.getstate(),
+        "safety": (
+            safety.apply_mode,
+            safety.regret_bound,
+            safety.regret_headroom,
+            safety.gate_min_observations,
+        ),
+    }
+
+
+def test_spec_build_is_the_one_tenant_constructor(monkeypatch):
+    unset = TenantSpec(tenant_id="plain")
+    _backend, advisor = unset.build()
+    assert advisor.store.capacity == DEFAULT_TEMPLATE_CAPACITY
+
+    policy = SafetyPolicy(
+        apply_mode="review",
+        regret_bound=250.0,
+        regret_headroom=2.5,
+        gate_min_observations=4,
+    )
+    spec = TenantSpec(
+        tenant_id="knobs",
+        backend=BackendSpec(kind="memory", seed=9, shard_budget=64),
+        safety=policy,
+        workload="banking",
+        storage_budget=1 << 20,
+        mcts_iterations=7,
+        rollouts=2,
+        top_templates=11,
+    )
+    built = []
+    build = TenantSpec.build
+
+    def recording_build(self):
+        pair = build(self)
+        built.append(pair[1])
+        return pair
+
+    monkeypatch.setattr(TenantSpec, "build", recording_build)
+    TenantRegistry().create(spec)
+    parity.replay_library_path(spec, 0)
+    registry_advisor, replay_advisor = built
+    knobs = advisor_knobs(registry_advisor)
+    assert knobs == advisor_knobs(replay_advisor)
+    assert knobs == {
+        "capacity": 64,
+        "storage_budget": 1 << 20,
+        "top_templates": 11,
+        "iterations": 7,
+        "rollouts": 2,
+        "rng": random.Random(9).getstate(),
+        "safety": ("review", 250.0, 2.5, 4),
+    }
 
 
 def test_safety_controllers_are_independent():
