@@ -12,15 +12,16 @@ Architecture:
 
 * :mod:`repro.analysis.core` — the framework: :class:`Violation`,
   :class:`ModuleInfo`, the checker registry, and inline-suppression
-  parsing (``# lint: ignore[rule] -- reason``);
-* :mod:`repro.analysis.baseline` — the persisted suppression file
-  (``lint-baseline.json``) that lets a rule land before the tree is
-  fully clean;
-* :mod:`repro.analysis.runner` — file discovery plus serial and
-  per-file parallel execution;
+  parsing (``# lint: ignore[rule] -- reason``, the only way to accept
+  a finding);
+* :mod:`repro.analysis.graph` and :mod:`repro.analysis.effects` — the
+  project symbol graph and interprocedural effect summaries;
+* :mod:`repro.analysis.runner` — file discovery plus one serial pass
+  that parses each module once for both the per-file and the project
+  checkers;
 * :mod:`repro.analysis.checkers` — the shipped checkers;
 * :mod:`repro.analysis.cli` — the ``python -m repro.lint`` entry
-  point (exits non-zero on violations not in the baseline).
+  point (exits non-zero on any unsuppressed violation).
 
 The package is deliberately stdlib-only (no numpy) so the lint can run
 in environments where the engine's dependencies are absent.

@@ -4,7 +4,7 @@ Importing this package registers every shipped checker with the
 framework registry.  Third-party checkers can call
 :func:`repro.analysis.register` themselves.
 
-Per-file checkers run in the parallel file pass; the interprocedural
+Per-file checkers run in the per-file pass; the interprocedural
 checkers (stage-effects, cache-invalidation) run in the
 project pass over the linked symbol/effect graph.
 """

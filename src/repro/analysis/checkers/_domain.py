@@ -10,9 +10,7 @@ class in a throwaway package and exercise the same rules.
 
 from __future__ import annotations
 
-import io
-import tokenize
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 #: Class name of the backend protocol (the analysis boundary).
 BACKEND_PROTOCOL_NAME = "TuningBackend"
@@ -70,26 +68,6 @@ def backend_effect_of(method: str) -> Optional[str]:
     if method in USAGE_RESET_METHODS:
         return "usage-reset"
     return None
-
-
-def iter_comments(source: str) -> List[Tuple[int, str]]:
-    """(lineno, text) for every real ``#`` comment in *source*.
-
-    Tokenized, not regex-scanned, so string literals that merely
-    mention an annotation (docs, checker messages) never register as
-    one.  Falls back to an empty list if the file fails to tokenize —
-    the parse checker owns reporting that.
-    """
-    comments: List[Tuple[int, str]] = []
-    try:
-        for token in tokenize.generate_tokens(
-            io.StringIO(source).readline
-        ):
-            if token.type == tokenize.COMMENT:
-                comments.append((token.start[0], token.string))
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return []
-    return comments
 
 
 def render_chain(chain: Tuple[str, ...], limit: int = 4) -> str:

@@ -31,7 +31,6 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.checkers._domain import iter_comments
 from repro.analysis.core import (
     ModuleInfo,
     ProjectChecker,
@@ -69,11 +68,11 @@ def _registrations_in(
     """Map class name → (class node, cache-keys registration)."""
     classes = [
         node
-        for node in ast.walk(module.tree)
+        for node in module.nodes
         if isinstance(node, ast.ClassDef)
     ]
     found: Dict[str, Tuple[ast.ClassDef, _Registration]] = {}
-    for lineno, text in iter_comments(module.source):
+    for lineno, text in module.comments:
         match = _KEYS_RE.search(text)
         if match is None:
             continue

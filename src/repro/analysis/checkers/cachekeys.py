@@ -375,7 +375,7 @@ class CacheKeyChecker(Checker):
 
     def check(self, module: ModuleInfo) -> Iterable[Violation]:
         violations: List[Violation] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.ClassDef):
                 model = _model_class(node)
                 for method in model.methods.values():

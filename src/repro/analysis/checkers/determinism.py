@@ -75,7 +75,7 @@ class DeterminismChecker(Checker):
 
     def check(self, module: ModuleInfo) -> Iterable[Violation]:
         violations: List[Violation] = []
-        aliases = _collect_aliases(module.tree)
+        aliases = _collect_aliases(module)
         violations.extend(_check_unseeded_random(module, aliases))
         violations.extend(_check_wall_clock(module))
         if module.layer in _ORDERED_LAYERS:
@@ -98,9 +98,9 @@ class _Aliases:
         self.direct_functions: Dict[str, str] = {}
 
 
-def _collect_aliases(tree: ast.Module) -> _Aliases:
+def _collect_aliases(module: ModuleInfo) -> _Aliases:
     aliases = _Aliases()
-    for node in ast.walk(tree):
+    for node in module.nodes:
         if isinstance(node, ast.Import):
             for name in node.names:
                 bound = name.asname or name.name.split(".")[0]
@@ -148,7 +148,7 @@ def _is_numpy_random_ref(node: ast.expr, aliases: _Aliases) -> bool:
 def _check_unseeded_random(
     module: ModuleInfo, aliases: _Aliases
 ) -> Iterator[Violation]:
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -212,7 +212,7 @@ def _check_wall_clock(module: ModuleInfo) -> Iterator[Violation]:
         return
     if module.rel_path.endswith(_CLOCK_WHITELIST_SUFFIXES):
         return
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         banned: Optional[str] = None
         if isinstance(node, ast.Import):
             for name in node.names:
@@ -243,14 +243,14 @@ def _check_wall_clock(module: ModuleInfo) -> Iterator[Violation]:
 
 def _check_unordered_iteration(module: ModuleInfo) -> Iterator[Violation]:
     parents: Dict[int, ast.AST] = {}
-    for parent in ast.walk(module.tree):
+    for parent in module.nodes:
         for child in ast.iter_child_nodes(parent):
             parents[id(child)] = parent
 
     scopes: List[Tuple[ast.AST, List[ast.stmt]]] = [
         (module.tree, module.tree.body)
     ]
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scopes.append((node, node.body))
 

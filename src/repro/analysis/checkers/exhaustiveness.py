@@ -113,9 +113,9 @@ def _load_universe(package_root: Path) -> Optional[_NodeUniverse]:
 
 
 def _collect_ast_aliases(
-    tree: ast.Module,
+    module: ModuleInfo,
 ) -> Tuple[Set[str], Dict[str, str]]:
-    """Names bound to the SQL ast module / its classes in *tree*.
+    """Names bound to the SQL ast module / its classes in *module*.
 
     Returns (module aliases, direct-import name -> class name).  Only
     imports whose dotted path ends in ``sql.ast`` (or ``ast`` out of a
@@ -124,7 +124,7 @@ def _collect_ast_aliases(
     """
     module_aliases: Set[str] = set()
     direct: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in module.nodes:
         if isinstance(node, ast.Import):
             for name in node.names:
                 if name.name.endswith("sql.ast"):
@@ -213,7 +213,7 @@ class ExhaustivenessChecker(Checker):
         universe = _load_universe(module.package_root)
         if universe is None:
             return []
-        module_aliases, direct = _collect_ast_aliases(module.tree)
+        module_aliases, direct = _collect_ast_aliases(module)
         if not module_aliases and not direct:
             return []
         markers = _find_markers(module)
@@ -231,7 +231,7 @@ class ExhaustivenessChecker(Checker):
         direct: Dict[str, str],
         markers: Dict[int, Tuple[str, Set[str]]],
     ) -> Iterator[Violation]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             marker: Optional[Tuple[str, Set[str]]] = None

@@ -97,7 +97,7 @@ class LayerChecker(Checker):
     ) -> Iterator[Violation]:
         allowed = ALLOWED_IMPORTS.get(layer)
         forbidden = FORBIDDEN_CONCRETE.get(layer, set())
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             targets: List[str] = []
             if isinstance(node, ast.Import):
                 targets = [n.name for n in node.names]

@@ -118,7 +118,7 @@ class FrozenMutationChecker(Checker):
 
     def check(self, module: ModuleInfo) -> Iterable[Violation]:
         violations: List[Violation] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 violations.extend(self._check_function(module, node))
         return violations

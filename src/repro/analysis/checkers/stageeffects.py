@@ -32,7 +32,6 @@ from repro.analysis.checkers._domain import (
     backend_effect_of,
     is_backend_protocol,
     is_store_class,
-    iter_comments,
     render_chain,
 )
 from repro.analysis.core import (
@@ -58,11 +57,11 @@ def _contracts_in(
     """
     classes: List[ast.ClassDef] = [
         node
-        for node in ast.walk(module.tree)
+        for node in module.nodes
         if isinstance(node, ast.ClassDef)
     ]
     contracts: Dict[str, Tuple[Set[str], int, Tuple[str, ...]]] = {}
-    for lineno, text in iter_comments(module.source):
+    for lineno, text in module.comments:
         match = _CONTRACT_RE.search(text)
         if match is None:
             continue

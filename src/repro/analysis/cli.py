@@ -1,12 +1,13 @@
 """Command-line driver: ``python -m repro.lint [targets...]``.
 
 Runs every registered checker over the target files/directories,
-subtracts the baseline and inline suppressions, prints the remaining
-violations, and exits non-zero if any are left.  Typical invocations::
+drops findings covered by an inline ``# lint: ignore[rule] -- reason``,
+prints the rest, and exits non-zero if any are left.  Typical
+invocations::
 
     PYTHONPATH=src python -m repro.lint src/repro
     PYTHONPATH=src python -m repro.lint --select determinism src/repro
-    PYTHONPATH=src python -m repro.lint --write-baseline src/repro
+    PYTHONPATH=src python -m repro.lint --scope file src/repro
 """
 
 from __future__ import annotations
@@ -17,13 +18,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_NAME,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.core import registered_checkers
-from repro.analysis.runner import CACHE_DIR_NAME, SCOPES, analyze_paths
+from repro.analysis.runner import SCOPES, analyze_paths
 
 
 def _project_root(start: Path) -> Path:
@@ -53,28 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only these checkers (repeatable)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes (default: auto; 1 forces serial)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=f"baseline file (default: <project root>/{DEFAULT_BASELINE_NAME})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every violation, ignoring the baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept all current violations into the baseline and exit 0",
-    )
-    parser.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
@@ -87,14 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "run only the per-file checkers (file), only the "
             "interprocedural pass (project), or both (all, default)"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help=(
-            "ignore and do not write the effect-summary cache "
-            f"({CACHE_DIR_NAME}/): fully cold interprocedural run"
         ),
     )
     parser.add_argument(
@@ -145,36 +111,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   file=sys.stderr)
         return 2
 
-    project_root = _project_root(targets[0])
-    baseline_path = args.baseline or project_root / DEFAULT_BASELINE_NAME
-
     try:
         violations = analyze_paths(
             targets,
-            project_root=project_root,
+            project_root=_project_root(targets[0]),
             select=args.select,
-            jobs=args.jobs,
             scope=args.scope,
-            use_cache=not args.no_cache,
         )
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        write_baseline(baseline_path, violations)
-        print(
-            f"wrote {len(violations)} violation(s) to {baseline_path}"
-        )
-        return 0
-
-    if not args.no_baseline:
-        baseline = load_baseline(baseline_path)
-        baselined = len(violations)
-        violations = baseline.filter_new(violations)
-        baselined -= len(violations)
-    else:
-        baselined = 0
 
     if args.format == "json":
         print(
@@ -185,7 +131,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         "path": v.path,
                         "line": v.line,
                         "message": v.message,
-                        "fingerprint": v.fingerprint,
                     }
                     for v in violations
                 ],
@@ -195,8 +140,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         for violation in violations:
             print(violation.render())
-        summary = f"{len(violations)} violation(s)"
-        if baselined:
-            summary += f" ({baselined} baselined)"
-        print(summary)
+        print(f"{len(violations)} violation(s)")
     return 1 if violations else 0

@@ -2,17 +2,19 @@
 
 Everything here is pure and stdlib-only.  A checker receives a fully
 parsed :class:`ModuleInfo` and yields :class:`Violation` objects; the
-framework handles suppression filtering, baselining, parallelism and
-reporting so checkers stay small.
+framework handles suppression filtering and reporting so checkers stay
+small.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
+import io
 import re
+import tokenize
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -40,25 +42,13 @@ class Violation:
     """One finding, attributed to a rule and a source location.
 
     ``path`` is stored relative to the project root (POSIX separators)
-    so fingerprints are stable across machines and checkouts.
+    so reports are stable across machines and checkouts.
     """
 
     rule: str
     path: str
     line: int
     message: str
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity used by the baseline file.
-
-        Line numbers are deliberately excluded so that unrelated edits
-        above a baselined violation do not resurrect it.
-        """
-        digest = hashlib.sha256(
-            f"{self.rule}::{self.path}::{self.message}".encode("utf-8")
-        )
-        return digest.hexdigest()[:16]
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
@@ -98,6 +88,32 @@ class ModuleInfo:
     def is_dunder_main(self) -> bool:
         return self.path.name == "__main__.py"
 
+    @cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of :attr:`tree` in ``ast.walk`` order, walked
+        once and shared by every checker."""
+        return list(ast.walk(self.tree))
+
+    @cached_property
+    def comments(self) -> List[Tuple[int, str]]:
+        """(lineno, text) for every real ``#`` comment in the source.
+
+        Tokenized, not regex-scanned, so string literals that merely
+        mention an annotation (docs, checker messages) never register
+        as one.  Empty if the file fails to tokenize — the parse
+        violation owns reporting that.
+        """
+        comments: List[Tuple[int, str]] = []
+        try:
+            for token in tokenize.generate_tokens(
+                io.StringIO(self.source).readline
+            ):
+                if token.type == tokenize.COMMENT:
+                    comments.append((token.start[0], token.string))
+        except (tokenize.TokenError, IndentationError, SyntaxError):
+            return []
+        return comments
+
 
 def _locate_package(path: Path) -> Tuple[Optional[Path], Optional[str]]:
     """Return (repro package dir, layer) for *path*, if discernible.
@@ -118,6 +134,18 @@ def _locate_package(path: Path) -> Tuple[Optional[Path], Optional[str]]:
     return None, None
 
 
+def relative_path(path: Path, project_root: Optional[Path]) -> str:
+    """*path* relative to *project_root* (POSIX), else as given."""
+    if project_root is not None:
+        try:
+            return (
+                path.resolve().relative_to(project_root.resolve()).as_posix()
+            )
+        except ValueError:
+            pass
+    return path.as_posix()
+
+
 def load_module(path: Path, project_root: Optional[Path] = None) -> ModuleInfo:
     """Parse *path* into a :class:`ModuleInfo`.
 
@@ -127,16 +155,9 @@ def load_module(path: Path, project_root: Optional[Path] = None) -> ModuleInfo:
     source = path.read_text(encoding="utf-8")
     tree = ast.parse(source, filename=str(path))
     package_root, layer = _locate_package(path)
-    if project_root is not None:
-        try:
-            rel = path.resolve().relative_to(project_root.resolve()).as_posix()
-        except ValueError:
-            rel = path.as_posix()
-    else:
-        rel = path.as_posix()
     return ModuleInfo(
         path=path,
-        rel_path=rel,
+        rel_path=relative_path(path, project_root),
         source=source,
         tree=tree,
         lines=source.splitlines(),
@@ -259,24 +280,6 @@ def all_checkers(select: Optional[Sequence[str]] = None) -> List[Checker]:
             )
         names = sorted(set(select))
     return [_REGISTRY[name]() for name in names]
-
-
-def file_checkers(select: Optional[Sequence[str]] = None) -> List[Checker]:
-    """Per-file checkers only (validates *select* against all names)."""
-    return [
-        c
-        for c in all_checkers(select)
-        if not isinstance(c, ProjectChecker)
-    ]
-
-
-def project_checkers(
-    select: Optional[Sequence[str]] = None,
-) -> List["ProjectChecker"]:
-    """Project-scope checkers only (validates *select* as above)."""
-    return [
-        c for c in all_checkers(select) if isinstance(c, ProjectChecker)
-    ]
 
 
 def _ensure_builtin_checkers() -> None:

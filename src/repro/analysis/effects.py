@@ -1,8 +1,7 @@
 """Interprocedural effect inference over the project call graph.
 
-Per-function *local* summaries are extracted file by file (pure, so
-the runner caches them by content hash — see ``ANALYZER_VERSION``):
-attribute writes rooted at ``self``, writes rooted at other typed
+Per-function *local* summaries are extracted file by file on every
+run: attribute writes rooted at ``self``, writes rooted at other typed
 receivers, module-global writes, RNG draws, cache-invalidation calls,
 and every resolved or unresolved call.  The :class:`EffectIndex` then
 links summaries through :class:`~repro.analysis.graph.ProjectGraph`
@@ -44,10 +43,6 @@ from repro.analysis.graph import (
     extract_symbols,
 )
 
-#: Bump when extraction output changes shape or semantics; cached
-#: summaries from other versions are discarded wholesale.
-ANALYZER_VERSION = 2
-
 #: Attribute-name fragments that mark an attribute as cache/memo
 #: state (mirrors the cache-key checker's convention).
 CACHE_NAME_HINTS = ("cache", "memo", "snapshot")
@@ -83,7 +78,7 @@ def has_cache_hint(attr: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Summary model (JSON-serializable)
+# Summary model
 # ---------------------------------------------------------------------------
 
 
@@ -102,26 +97,6 @@ class AttrWrite:
     line: int
     method: Optional[str] = None  # for kind == "call"
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "attr": self.attr,
-            "kind": self.kind,
-            "line": self.line,
-            "method": self.method,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "AttrWrite":
-        return cls(
-            attr=str(data["attr"]),
-            kind=str(data["kind"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            method=(
-                None if data.get("method") is None
-                else str(data["method"])
-            ),
-        )
-
 
 @dataclass
 class TypedWrite:
@@ -131,23 +106,6 @@ class TypedWrite:
     attr: str
     kind: str
     line: int
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "cls": self.cls,
-            "attr": self.attr,
-            "kind": self.kind,
-            "line": self.line,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TypedWrite":
-        return cls(
-            cls=str(data["cls"]),
-            attr=str(data["attr"]),
-            kind=str(data["kind"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-        )
 
 
 @dataclass
@@ -171,28 +129,6 @@ class CallRef:
     target: Optional[str] = None
     cls: Optional[str] = None
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "line": self.line,
-            "name": self.name,
-            "target": self.target,
-            "cls": self.cls,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CallRef":
-        return cls(
-            kind=str(data["kind"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            name=str(data["name"]),
-            target=(
-                None if data.get("target") is None
-                else str(data["target"])
-            ),
-            cls=None if data.get("cls") is None else str(data["cls"]),
-        )
-
 
 @dataclass
 class FunctionEffects:
@@ -212,58 +148,6 @@ class FunctionEffects:
     invalidate_calls: List[Tuple[str, int]] = field(default_factory=list)
     calls: List[CallRef] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "qualname": self.qualname,
-            "module": self.module,
-            "rel_path": self.rel_path,
-            "name": self.name,
-            "line": self.line,
-            "cls": self.cls,
-            "is_init": self.is_init,
-            "self_writes": [w.to_dict() for w in self.self_writes],
-            "typed_writes": [w.to_dict() for w in self.typed_writes],
-            "global_writes": [list(g) for g in self.global_writes],
-            "rng_draws": list(self.rng_draws),
-            "invalidate_calls": [list(c) for c in self.invalidate_calls],
-            "calls": [c.to_dict() for c in self.calls],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FunctionEffects":
-        return cls(
-            qualname=str(data["qualname"]),
-            module=str(data["module"]),
-            rel_path=str(data["rel_path"]),
-            name=str(data["name"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            cls=None if data.get("cls") is None else str(data["cls"]),
-            is_init=bool(data.get("is_init", False)),
-            self_writes=[
-                AttrWrite.from_dict(w)
-                for w in data.get("self_writes", [])  # type: ignore[union-attr]
-            ],
-            typed_writes=[
-                TypedWrite.from_dict(w)
-                for w in data.get("typed_writes", [])  # type: ignore[union-attr]
-            ],
-            global_writes=[
-                (str(g[0]), int(g[1]))
-                for g in data.get("global_writes", [])  # type: ignore[union-attr]
-            ],
-            rng_draws=[
-                int(n) for n in data.get("rng_draws", [])  # type: ignore[union-attr]
-            ],
-            invalidate_calls=[
-                (str(c[0]), int(c[1]))
-                for c in data.get("invalidate_calls", [])  # type: ignore[union-attr]
-            ],
-            calls=[
-                CallRef.from_dict(c)
-                for c in data.get("calls", [])  # type: ignore[union-attr]
-            ],
-        )
-
 
 @dataclass
 class FileSummary:
@@ -271,28 +155,6 @@ class FileSummary:
 
     symbols: ModuleSymbols
     effects: Dict[str, FunctionEffects]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "symbols": self.symbols.to_dict(),
-            "effects": {
-                qual: eff.to_dict() for qual, eff in self.effects.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FileSummary":
-        symbols_raw = data["symbols"]
-        effects_raw = data.get("effects", {})
-        assert isinstance(symbols_raw, dict)
-        assert isinstance(effects_raw, dict)
-        return cls(
-            symbols=ModuleSymbols.from_dict(symbols_raw),
-            effects={
-                str(qual): FunctionEffects.from_dict(eff)
-                for qual, eff in effects_raw.items()
-            },
-        )
 
 
 # ---------------------------------------------------------------------------

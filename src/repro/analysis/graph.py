@@ -4,7 +4,7 @@ The per-file checkers in :mod:`repro.analysis.checkers` see one
 module at a time; the interprocedural rules (stage-effects,
 cache-invalidation) need to follow calls across modules.  This module provides the *symbol* half of that: per-file
 extraction of classes, functions, imports and attribute types into
-JSON-serializable :class:`ModuleSymbols`, and a :class:`ProjectGraph`
+:class:`ModuleSymbols`, and a :class:`ProjectGraph`
 that links them — class hierarchy, method lookup through inheritance,
 structural protocol matching, and annotation-based type resolution.
 
@@ -16,9 +16,8 @@ receiver whose type cannot be established resolves to *unknown* and
 is neither traversed nor reported — the analyzer must never crash or
 guess on dynamic code.
 
-Everything here is stdlib-only and pure: extraction is per-file (so
-results can be cached by content hash), linking is cheap and redone
-every run.
+Everything here is stdlib-only and pure: extraction is per-file and
+linking is cheap; both are redone every run.
 """
 
 from __future__ import annotations
@@ -71,26 +70,6 @@ class FunctionSymbol:
     line: int
     returns: Optional[str] = None  # resolved class ref of return type
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "qualname": self.qualname,
-            "line": self.line,
-            "returns": self.returns,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FunctionSymbol":
-        return cls(
-            name=str(data["name"]),
-            qualname=str(data["qualname"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            returns=(
-                None if data.get("returns") is None
-                else str(data["returns"])
-            ),
-        )
-
 
 @dataclass
 class ClassSymbol:
@@ -104,41 +83,6 @@ class ClassSymbol:
     methods: Dict[str, FunctionSymbol] = field(default_factory=dict)
     attr_types: Dict[str, str] = field(default_factory=dict)
     is_protocol: bool = False
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "qualname": self.qualname,
-            "line": self.line,
-            "end_line": self.end_line,
-            "bases": list(self.bases),
-            "methods": {
-                name: sym.to_dict() for name, sym in self.methods.items()
-            },
-            "attr_types": dict(self.attr_types),
-            "is_protocol": self.is_protocol,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ClassSymbol":
-        methods_raw = data.get("methods", {})
-        assert isinstance(methods_raw, dict)
-        return cls(
-            name=str(data["name"]),
-            qualname=str(data["qualname"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            end_line=int(data["end_line"]),  # type: ignore[arg-type]
-            bases=[str(b) for b in data.get("bases", [])],  # type: ignore[union-attr]
-            methods={
-                str(name): FunctionSymbol.from_dict(sym)
-                for name, sym in methods_raw.items()
-            },
-            attr_types={
-                str(k): str(v)
-                for k, v in data.get("attr_types", {}).items()  # type: ignore[union-attr]
-            },
-            is_protocol=bool(data.get("is_protocol", False)),
-        )
 
 
 @dataclass
@@ -154,47 +98,6 @@ class ModuleSymbols:
     imports: Dict[str, str] = field(default_factory=dict)
     #: module-level annotated globals: name → resolved class ref.
     global_types: Dict[str, str] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "module": self.module,
-            "rel_path": self.rel_path,
-            "classes": {
-                name: sym.to_dict() for name, sym in self.classes.items()
-            },
-            "functions": {
-                name: sym.to_dict() for name, sym in self.functions.items()
-            },
-            "imports": dict(self.imports),
-            "global_types": dict(self.global_types),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ModuleSymbols":
-        classes_raw = data.get("classes", {})
-        functions_raw = data.get("functions", {})
-        assert isinstance(classes_raw, dict)
-        assert isinstance(functions_raw, dict)
-        return cls(
-            module=str(data["module"]),
-            rel_path=str(data["rel_path"]),
-            classes={
-                str(name): ClassSymbol.from_dict(sym)
-                for name, sym in classes_raw.items()
-            },
-            functions={
-                str(name): FunctionSymbol.from_dict(sym)
-                for name, sym in functions_raw.items()
-            },
-            imports={
-                str(k): str(v)
-                for k, v in data.get("imports", {}).items()  # type: ignore[union-attr]
-            },
-            global_types={
-                str(k): str(v)
-                for k, v in data.get("global_types", {}).items()  # type: ignore[union-attr]
-            },
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +366,8 @@ def extract_symbols(rel_path: str, tree: ast.Module) -> ModuleSymbols:
 class ProjectGraph:
     """Linked view over every module's symbols.
 
-    Built fresh each run (linking is cheap); the per-file
-    :class:`ModuleSymbols` inputs may come from the effects cache.
+    Built fresh each run from the per-file :class:`ModuleSymbols`
+    (linking is cheap).
     """
 
     def __init__(self, modules: Sequence[ModuleSymbols]) -> None:

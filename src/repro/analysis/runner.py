@@ -1,56 +1,33 @@
-"""File discovery and (optionally parallel) analysis execution.
+"""File discovery and the single serial analysis pass.
 
-Two passes share this runner.  The **per-file pass** is
-embarrassingly parallel: every module is parsed and checked
-independently, so files fan out to a process pool when the count
-justifies the fork cost.  The **project pass** runs the
-interprocedural checkers in the parent process: it loads every
-module, extracts (or loads from cache) per-file effect summaries,
-links them into a project graph, and hands the whole thing to each
+Every target module is loaded (read and parsed) exactly once; a file
+that does not parse becomes a ``parse`` violation instead.  The same
+:class:`~repro.analysis.core.ModuleInfo` list then feeds both passes:
+the **per-file pass** runs each per-file checker over each module,
+and the **project pass** extracts per-file effect summaries, links
+them into a project graph, and hands the whole thing to each
 :class:`~repro.analysis.core.ProjectChecker`.
-
-Per-file summaries are pure functions of file content, so they are
-persisted to ``<project root>/.lint-cache/effects.json`` keyed on the
-content hash and :data:`~repro.analysis.effects.ANALYZER_VERSION`;
-repeat runs skip extraction for unchanged files.  ``use_cache=False``
-(CLI ``--no-cache``) pins fully cold mode — no read, no write.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.core import (
     ModuleInfo,
+    ProjectChecker,
     ProjectContext,
     Violation,
     _is_suppressed,
     all_checkers,
     analyze_module,
-    file_checkers,
     load_module,
     parse_suppressions,
-    project_checkers,
+    relative_path,
 )
-from repro.analysis.effects import (
-    ANALYZER_VERSION,
-    EffectIndex,
-    FileSummary,
-    extract_file_summary,
-)
+from repro.analysis.effects import EffectIndex, extract_file_summary
 from repro.analysis.graph import ProjectGraph
-
-#: Below this many files a pool costs more than it saves.
-_PARALLEL_THRESHOLD = 16
-
-#: Cache directory name, relative to the project root.
-CACHE_DIR_NAME = ".lint-cache"
-_CACHE_FILE_NAME = "effects.json"
 
 #: Valid values for the ``scope`` parameter / ``--scope`` flag.
 SCOPES = ("file", "project", "all")
@@ -71,162 +48,41 @@ def discover_files(targets: Sequence[Path]) -> List[Path]:
     return sorted(set(files))
 
 
-def _rel_path(path: Path, project_root: Optional[Path]) -> str:
-    if project_root is not None:
-        try:
-            return (
-                path.resolve().relative_to(project_root.resolve()).as_posix()
-            )
-        except ValueError:
-            pass
-    return path.as_posix()
-
-
-def _analyze_one(
-    path_str: str,
-    project_root_str: Optional[str],
-    select: Optional[Tuple[str, ...]],
-) -> List[Violation]:
-    """Analyze a single file; module-level so it pickles for the pool."""
-    path = Path(path_str)
-    project_root = None if project_root_str is None else Path(project_root_str)
-    try:
-        module = load_module(path, project_root=project_root)
-    except SyntaxError as exc:
-        return [
-            Violation(
-                rule="parse",
-                path=_rel_path(path, project_root),
-                line=exc.lineno or 1,
-                message=f"syntax error: {exc.msg}",
-            )
-        ]
-    checkers = file_checkers(select=select)
-    return analyze_module(module, checkers)
-
-
-# ---------------------------------------------------------------------------
-# Effect-summary cache
-# ---------------------------------------------------------------------------
-
-
-def _content_hash(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-def _cache_path(project_root: Optional[Path], cache_dir: Optional[Path]) -> Optional[Path]:
-    if cache_dir is not None:
-        return cache_dir / _CACHE_FILE_NAME
-    if project_root is not None:
-        return project_root / CACHE_DIR_NAME / _CACHE_FILE_NAME
-    return None
-
-
-def _load_cache(cache_file: Optional[Path]) -> Dict[str, Dict[str, object]]:
-    if cache_file is None or not cache_file.exists():
-        return {}
-    try:
-        raw = json.loads(cache_file.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return {}
-    if not isinstance(raw, dict) or raw.get("version") != ANALYZER_VERSION:
-        return {}
-    files = raw.get("files")
-    return files if isinstance(files, dict) else {}
-
-
-def _save_cache(
-    cache_file: Optional[Path], files: Dict[str, Dict[str, object]]
-) -> None:
-    if cache_file is None:
-        return
-    try:
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        cache_file.write_text(
-            json.dumps(
-                {"version": ANALYZER_VERSION, "files": files},
-                sort_keys=True,
-            ),
-            encoding="utf-8",
-        )
-    except OSError:
-        # A read-only checkout must not fail the lint run.
-        pass
-
-
-def _summarize_modules(
-    modules: Sequence[ModuleInfo],
-    cache_file: Optional[Path],
-    use_cache: bool,
-) -> List[FileSummary]:
-    """Per-file summaries, via the content-hash cache when allowed."""
-    cached = _load_cache(cache_file) if use_cache else {}
-    next_cache: Dict[str, Dict[str, object]] = {}
-    summaries: List[FileSummary] = []
-    for module in modules:
-        digest = _content_hash(module.source)
-        entry = cached.get(module.rel_path)
-        summary: Optional[FileSummary] = None
-        if (
-            isinstance(entry, dict)
-            and entry.get("hash") == digest
-            and isinstance(entry.get("summary"), dict)
-        ):
-            try:
-                summary = FileSummary.from_dict(
-                    entry["summary"]  # type: ignore[arg-type]
-                )
-            except (KeyError, TypeError, ValueError, AssertionError):
-                summary = None
-        if summary is None:
-            summary = extract_file_summary(module.rel_path, module.tree)
-        summaries.append(summary)
-        next_cache[module.rel_path] = {
-            "hash": digest,
-            "summary": summary.to_dict(),
-        }
-    if use_cache:
-        _save_cache(cache_file, next_cache)
-    return summaries
-
-
-# ---------------------------------------------------------------------------
-# Project pass
-# ---------------------------------------------------------------------------
-
-
-def _analyze_project(
-    files: Sequence[Path],
-    project_root: Optional[Path],
-    select: Optional[Tuple[str, ...]],
-    use_cache: bool,
-    cache_dir: Optional[Path],
-) -> List[Violation]:
-    checkers = project_checkers(select=select)
-    if not checkers:
-        return []
+def _load_modules(
+    files: Sequence[Path], project_root: Optional[Path]
+) -> Tuple[List[ModuleInfo], List[Violation]]:
+    """Parse every file once; syntax errors become ``parse`` findings."""
     modules: List[ModuleInfo] = []
-    violations: List[Violation] = []
+    problems: List[Violation] = []
     for path in files:
         try:
             modules.append(load_module(path, project_root=project_root))
-        except SyntaxError:
-            # The per-file pass owns the parse violation; the project
-            # pass simply works on the files that do parse.
-            continue
-    summaries = _summarize_modules(
-        modules, _cache_path(project_root, cache_dir), use_cache
-    )
+        except SyntaxError as exc:
+            problems.append(
+                Violation(
+                    rule="parse",
+                    path=relative_path(path, project_root),
+                    line=exc.lineno or 1,
+                    message=f"syntax error: {exc.msg}",
+                )
+            )
+    return modules, problems
+
+
+def _analyze_project(
+    modules: Sequence[ModuleInfo], checkers: Sequence[ProjectChecker]
+) -> List[Violation]:
+    summaries = [extract_file_summary(m.rel_path, m.tree) for m in modules]
     graph = ProjectGraph([s.symbols for s in summaries])
-    effects = EffectIndex(graph, summaries)
     ctx = ProjectContext(
         modules={m.rel_path: m for m in modules},
         graph=graph,
-        effects=effects,
+        effects=EffectIndex(graph, summaries),
     )
     suppressions = {
         m.rel_path: parse_suppressions(m)[0] for m in modules
     }
+    violations: List[Violation] = []
     for checker in checkers:
         for violation in checker.check_project(ctx):
             module_sups = suppressions.get(violation.path, ())
@@ -235,79 +91,29 @@ def _analyze_project(
     return violations
 
 
-# ---------------------------------------------------------------------------
-# Entry point
-# ---------------------------------------------------------------------------
-
-
 def analyze_paths(
     targets: Sequence[Path],
     project_root: Optional[Path] = None,
     select: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
     scope: str = "all",
-    use_cache: bool = True,
-    cache_dir: Optional[Path] = None,
 ) -> List[Violation]:
-    """Analyze every ``.py`` file under *targets*.
+    """Analyze every ``.py`` file under *targets*, sorted by location.
 
-    ``jobs=None`` auto-selects: serial for small trees, a process pool
-    otherwise.  ``jobs=1`` forces serial; results are identical either
-    way (and sorted, so output order is deterministic).  ``scope``
-    picks the per-file pass, the interprocedural project pass, or
-    both (the default).
+    ``scope`` picks the per-file pass, the interprocedural project
+    pass, or both (the default).
     """
     if scope not in SCOPES:
         raise KeyError(f"unknown scope: {scope} (known: {', '.join(SCOPES)})")
-    files = discover_files(targets)
-    root_str = None if project_root is None else str(project_root)
-    select_tuple = None if select is None else tuple(select)
-    # Fail fast on unknown rule names before forking workers.
-    all_checkers(select=select_tuple)
-
-    if jobs is None:
-        jobs = (
-            min(8, os.cpu_count() or 1)
-            if len(files) >= _PARALLEL_THRESHOLD
-            else 1
-        )
-
-    violations: List[Violation] = []
+    checkers = all_checkers(select=select)
+    file_checkers = [c for c in checkers if not isinstance(c, ProjectChecker)]
+    project_checkers = [c for c in checkers if isinstance(c, ProjectChecker)]
+    modules, violations = _load_modules(discover_files(targets), project_root)
     if scope in ("file", "all"):
-        if jobs <= 1 or len(files) <= 1:
-            for path in files:
-                violations.extend(
-                    _analyze_one(str(path), root_str, select_tuple)
-                )
-        else:
-            try:
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    for result in pool.map(
-                        _analyze_one,
-                        [str(p) for p in files],
-                        [root_str] * len(files),
-                        [select_tuple] * len(files),
-                    ):
-                        violations.extend(result)
-            except (OSError, RuntimeError):
-                # Sandboxes sometimes forbid fork/spawn; degrade to serial.
-                violations = []
-                for path in files:
-                    violations.extend(
-                        _analyze_one(str(path), root_str, select_tuple)
-                    )
-    if scope in ("project", "all"):
-        violations.extend(
-            _analyze_project(
-                files,
-                project_root,
-                select_tuple,
-                use_cache=use_cache,
-                cache_dir=cache_dir,
-            )
-        )
-    unique = sorted(
+        for module in modules:
+            violations.extend(analyze_module(module, file_checkers))
+    if scope in ("project", "all") and project_checkers:
+        violations.extend(_analyze_project(modules, project_checkers))
+    return sorted(
         set(violations),
         key=lambda v: (v.path, v.line, v.rule, v.message),
     )
-    return unique

@@ -314,7 +314,6 @@ class AutoIndexAdvisor:
         self,
         force: bool = True,
         trigger_threshold: float = 0.1,
-        scope_tables: Optional[List[str]] = None,
     ) -> TuningContext:
         """Assemble the shared context for one tuning round."""
         return TuningContext(
@@ -331,7 +330,6 @@ class AutoIndexAdvisor:
             protected=self.protected_indexes(),
             force=force,
             trigger_threshold=trigger_threshold,
-            scope_tables=scope_tables,
             safety=self.safety,
         )
 
@@ -444,7 +442,6 @@ class AutoIndexAdvisor:
         self,
         force: bool = True,
         trigger_threshold: float = 0.1,
-        scope_tables: Optional[List[str]] = None,
     ) -> TuningReport:
         """Run one incremental tuning round and apply the result.
 
@@ -468,8 +465,5 @@ class AutoIndexAdvisor:
         one code path.
         """
         return run_round(
-            self,
-            force=force,
-            trigger_threshold=trigger_threshold,
-            scope_tables=scope_tables,
+            self, force=force, trigger_threshold=trigger_threshold
         )

@@ -67,16 +67,13 @@ class GreedyAdvisor:
         db: TuningBackend,
         storage_budget: Optional[int] = None,
         max_candidates: int = 40,
-        selectivity_threshold: float = 1.0 / 3.0,
         marginal: bool = False,
     ):
         self.db = db
         self.storage_budget = storage_budget
         self.max_candidates = max_candidates
         self.marginal = marginal
-        self.generator = CandidateGenerator(
-            db, selectivity_threshold=selectivity_threshold
-        )
+        self.generator = CandidateGenerator(db)
         self.estimator = BenefitEstimator(db)
         # Greedy analyses every query individually: dedupe only on the
         # literal SQL text (not on templates).

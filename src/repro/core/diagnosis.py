@@ -25,6 +25,20 @@ from repro.core.templates import TemplateStore
 from repro.ports.backend import TuningBackend
 from repro.engine.index import IndexDef
 
+#: An index is *negative* when its write maintenance exceeds this many
+#: times its lookups.
+NEGATIVE_MAINTENANCE_FACTOR = 10.0
+#: Minimum template support for a candidate to count as missing.
+MIN_CANDIDATE_SUPPORT = 3.0
+#: Post-apply observation window: indexes the advisor just created are
+#: watched for this many diagnosis passes; if maintenance dwarfs
+#: lookups in that window the index regressed and is flagged for
+#: automatic revert.
+REVERT_WINDOW = 2
+#: Maintenance floor for a revert, so a handful of early writes cannot
+#: condemn an index before it served anything.
+REVERT_MIN_MAINTENANCE = 20
+
 
 @dataclass
 class IndexProblemReport:
@@ -90,26 +104,12 @@ class IndexDiagnosis:
         store: TemplateStore,
         generator: CandidateGenerator,
         min_observations: int = 50,
-        negative_maintenance_factor: float = 10.0,
-        min_candidate_support: float = 3.0,
-        revert_window: int = 2,
-        revert_min_maintenance: int = 20,
         incremental: bool = True,
     ):
         self.db = db
         self.store = store
         self.generator = generator
         self.min_observations = min_observations
-        self.negative_maintenance_factor = negative_maintenance_factor
-        self.min_candidate_support = min_candidate_support
-        # Post-apply observation window: indexes the advisor just
-        # created are watched for ``revert_window`` diagnosis passes;
-        # if maintenance dwarfs lookups in that window the index
-        # regressed and is flagged for automatic revert. The
-        # ``revert_min_maintenance`` floor stops a handful of early
-        # writes from condemning an index before it served anything.
-        self.revert_window = revert_window
-        self.revert_min_maintenance = revert_min_maintenance
         self._watched: Dict[Tuple, Tuple[IndexDef, int]] = {}
         #: windows closed by the last consuming pass, with how:
         #: "reverted" | "expired" | "disappeared". Drained by
@@ -169,7 +169,7 @@ class IndexDiagnosis:
                         rarely_used.append(usage.definition)
                     elif (
                         usage.maintenance_ops
-                        > usage.lookups * self.negative_maintenance_factor
+                        > usage.lookups * NEGATIVE_MAINTENANCE_FACTOR
                     ):
                         negative.append(usage.definition)
                 self._class_signature = signature
@@ -196,7 +196,7 @@ class IndexDiagnosis:
                 self._extraction_cache[template.fingerprint] = definitions
             pairs.append((template, definitions))
         for candidate in self.generator.generate_from(pairs):
-            if candidate.support >= self.min_candidate_support:
+            if candidate.support >= MIN_CANDIDATE_SUPPORT:
                 report.missing_beneficial.append(candidate.definition)
 
         report.auto_revert = self.check_applied(consume=False)
@@ -251,14 +251,14 @@ class IndexDiagnosis:
                     report.rarely_used.append(usage.definition)
                 elif (
                     usage.maintenance_ops
-                    > usage.lookups * self.negative_maintenance_factor
+                    > usage.lookups * NEGATIVE_MAINTENANCE_FACTOR
                 ):
                     report.negative.append(usage.definition)
 
         for candidate in self.generator.generate(
             self.store.templates(top=top_templates)
         ):
-            if candidate.support >= self.min_candidate_support:
+            if candidate.support >= MIN_CANDIDATE_SUPPORT:
                 report.missing_beneficial.append(candidate.definition)
 
         report.auto_revert = self.check_applied(consume=False)
@@ -275,7 +275,7 @@ class IndexDiagnosis:
                 continue  # never auto-revert constraint indexes
             self._watched[definition.key] = (
                 definition,
-                self.revert_window,
+                REVERT_WINDOW,
             )
 
     def watched_indexes(self) -> List[IndexDef]:
@@ -308,9 +308,9 @@ class IndexDiagnosis:
                     self._closed.append((definition, "disappeared"))
                 continue
             if (
-                used.maintenance_ops >= self.revert_min_maintenance
+                used.maintenance_ops >= REVERT_MIN_MAINTENANCE
                 and used.maintenance_ops
-                > max(used.lookups, 1) * self.negative_maintenance_factor
+                > max(used.lookups, 1) * NEGATIVE_MAINTENANCE_FACTOR
             ):
                 regressed.append(definition)
                 if consume:

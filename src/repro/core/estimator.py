@@ -535,7 +535,6 @@ class BenefitEstimator:
             return
         features = self._batch_features(missing, config)
         matrix = features_matrix(features)
-        # lint: ignore[cache-key] -- model swaps flush the cost tier (train/clear_cache)
         predicted = self._predict(matrix)
         self.estimate_calls += len(missing)
         for (i, key, weight, _template), raw in zip(missing, predicted):

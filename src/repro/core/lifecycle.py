@@ -27,7 +27,7 @@ only thing the session adds is the firing decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.pipeline import TuningReport
 from repro.core.templates import QueryTemplate
@@ -47,7 +47,6 @@ def run_round(
     advisor: "AutoIndexAdvisor",
     force: bool = True,
     trigger_threshold: float = 0.1,
-    scope_tables: Optional[List[str]] = None,
 ) -> TuningReport:
     """Run one tuning round against an advisor's components.
 
@@ -59,9 +58,7 @@ def run_round(
     parity guarantee between the two paths.
     """
     ctx = advisor.make_context(
-        force=force,
-        trigger_threshold=trigger_threshold,
-        scope_tables=scope_tables,
+        force=force, trigger_threshold=trigger_threshold
     )
     advisor.pipeline.run(ctx)
     report = ctx.finalize(advisor.statements_analyzed)

@@ -39,6 +39,11 @@ IndexKey = Tuple[str, Tuple[str, ...]]
 
 DEFAULT_GAMMA = 0.4
 
+#: Expansion fan-out cap: a node with more legal actions keeps the
+#: first half of its additions (highest support) and samples the rest.
+MAX_CHILDREN = 24
+
+
 @dataclass(frozen=True)
 class Action:
     """An edge in the policy tree: add or remove one index."""
@@ -160,8 +165,6 @@ class MctsIndexSelector:
         gamma: float = DEFAULT_GAMMA,
         iterations: int = 60,
         rollouts: int = 4,
-        rollout_depth: Optional[int] = None,
-        max_children: int = 24,
         patience: int = 25,
         seed: int = 17,
         rng: Optional[random.Random] = None,
@@ -171,8 +174,6 @@ class MctsIndexSelector:
         self.gamma = gamma
         self.iterations = iterations
         self.rollouts = rollouts
-        self.rollout_depth = rollout_depth
-        self.max_children = max_children
         self.patience = patience
         # Anytime-search bound: a deterministic evaluation cap,
         # checked between iterations, never mid-evaluation. Hitting it
@@ -394,14 +395,14 @@ class MctsIndexSelector:
     def _expand(self, node: PolicyNode) -> None:
         """Step 1(ii) — materialise the node's child actions."""
         actions = self._legal_actions(node.config)
-        if len(actions) > self.max_children:
+        if len(actions) > MAX_CHILDREN:
             # Keep the highest-support additions, sample the rest.
             adds = [a for a in actions if a.kind == "add"]
             removes = [a for a in actions if a.kind == "remove"]
-            keep = adds[: self.max_children // 2]
-            rest = adds[self.max_children // 2 :] + removes
+            keep = adds[: MAX_CHILDREN // 2]
+            rest = adds[MAX_CHILDREN // 2 :] + removes
             self.rng.shuffle(rest)
-            actions = keep + rest[: self.max_children - len(keep)]
+            actions = keep + rest[: MAX_CHILDREN - len(keep)]
         for action in actions:
             self.tree.child(node, action)
         node.expanded = True
@@ -472,10 +473,7 @@ class MctsIndexSelector:
         # keeps the leaf distribution diverse — a fixed full depth
         # would evaluate the same all-candidates configuration every
         # time and never explore subsets.
-        if self.rollout_depth is not None:
-            max_steps = self.rollout_depth
-        else:
-            max_steps = self.rng.randint(0, len(pool)) if pool else 0
+        max_steps = self.rng.randint(0, len(pool)) if pool else 0
         for candidate in pool:
             if steps >= max_steps:
                 break

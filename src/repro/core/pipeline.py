@@ -216,10 +216,6 @@ class TuningContext:
     protected: List[IndexDef] = field(default_factory=list)
     force: bool = True
     trigger_threshold: float = 0.1
-    #: Restrict the round to templates touching these tables (the
-    #: sharded store serves them without scanning every shard);
-    #: ``None`` tunes against the whole workload.
-    scope_tables: Optional[List[str]] = None
     # Round state.
     report: TuningReport = field(default_factory=TuningReport)
     timer: Stopwatch = field(default_factory=Stopwatch)
@@ -294,14 +290,7 @@ class ObserveStage:
             else:
                 ctx.report.dropped.extend(reverted)
                 ctx.report.rolled_back += len(reverted)
-        if ctx.scope_tables is not None:
-            # Table-scoped round: only the affected shards of the
-            # template store are consulted.
-            ctx.templates = ctx.store.templates_for_tables(
-                ctx.scope_tables, top=ctx.top_templates
-            )
-        else:
-            ctx.templates = ctx.store.templates(top=ctx.top_templates)
+        ctx.templates = ctx.store.templates(top=ctx.top_templates)
 
     def _settle_ledger(self, ctx: TuningContext, closed) -> None:
         """Settle benefit-ledger claims for windows that just closed.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sql import ast, parse
 from repro.sql.fingerprint import parameterize
@@ -73,14 +73,12 @@ class TemplateStore:
     handling of Section IV-C.
 
     Templates live in per-table shards keyed by the statement's
-    primary (first-referenced) table, with a table → fingerprints
-    index covering secondary references, so candidate generation and
-    what-if costing can iterate only the shards a configuration
-    change touches (:meth:`templates_for_tables`) instead of scanning
-    a flat dict. The LRU budget is split across shards: the capacity
-    is divided evenly over the active shards and eviction charges the
-    shard most over its share, dropping that shard's coldest
-    template.
+    primary (first-referenced) table, so incremental diagnosis can
+    re-read only the shards whose version moved
+    (:meth:`shard_versions`) instead of scanning a flat dict. The LRU
+    budget is split across shards: the capacity is divided evenly over
+    the active shards and eviction charges the shard most over its
+    share, dropping that shard's coldest template.
 
     Ingest fast path: :meth:`observe` first normalises the raw SQL
     (:func:`repro.sql.normalize.normalize_sql`, a lex-only pass) and
@@ -94,7 +92,7 @@ class TemplateStore:
     whose text may not be what the store would parse ``sql`` into.
     """
 
-    # cache-keys: fields[_shards, _shard_of, _table_index] invalidator[_touch]
+    # cache-keys: fields[_shards, _shard_of] invalidator[_touch]
 
     def __init__(
         self,
@@ -123,9 +121,6 @@ class TemplateStore:
         #: shard key (primary table, "" when table-less) → templates.
         self._shards: Dict[str, Dict[str, QueryTemplate]] = {}
         self._shard_of: Dict[str, str] = {}
-        #: any referenced table → fingerprints (secondary references
-        #: included, so multi-table templates are never missed).
-        self._table_index: Dict[str, Dict[str, None]] = {}
         self._size = 0
         self._clock = 0
         self._window_arrivals = 0
@@ -160,27 +155,15 @@ class TemplateStore:
             template.fingerprint
         ] = template
         self._shard_of[template.fingerprint] = shard_key
-        for table in tables:
-            # Dict-as-ordered-set: insertion order is deterministic,
-            # set iteration order is not.
-            self._table_index.setdefault(table, {})[
-                template.fingerprint
-            ] = None
         self._size += 1
         self._touch(shard_key)
 
     def _remove(self, fingerprint: str) -> None:
         shard_key = self._shard_of.pop(fingerprint)
         shard = self._shards[shard_key]
-        template = shard.pop(fingerprint)
+        shard.pop(fingerprint)
         if not shard:
             del self._shards[shard_key]
-        for table in template.tables:
-            members = self._table_index.get(table)
-            if members is not None:
-                members.pop(fingerprint, None)
-                if not members:
-                    del self._table_index[table]
         self._size -= 1
         self._touch(shard_key)
         # Cache coherence: raw keys resolving to a dead fingerprint
@@ -497,29 +480,6 @@ class TemplateStore:
         """Templates sorted by descending frequency."""
         ordered = sorted(
             self._iter_templates(),
-            key=lambda t: (-t.frequency, -t.last_seen),
-        )
-        return ordered if top is None else ordered[:top]
-
-    def templates_for_tables(
-        self,
-        tables: Iterable[str],
-        top: Optional[int] = None,
-    ) -> List[QueryTemplate]:
-        """Templates referencing any of ``tables``, hottest first.
-
-        This is the sharded fast path: only the affected shards (plus
-        secondary references via the table index) are touched, so a
-        configuration change on one table never scans the whole
-        store.
-        """
-        seen: Dict[str, None] = {}
-        for table in sorted(set(tables)):
-            for fingerprint in self._table_index.get(table, ()):
-                seen.setdefault(fingerprint, None)
-        matched = [self._get(fp) for fp in seen]
-        ordered = sorted(
-            (t for t in matched if t is not None),
             key=lambda t: (-t.frequency, -t.last_seen),
         )
         return ordered if top is None else ordered[:top]

@@ -40,24 +40,6 @@ def test_violating_tree_exits_nonzero(tmp_path):
     assert "unseeded-random" in result.stdout
 
 
-def test_write_baseline_then_clean(tmp_path):
-    (tmp_path / "pyproject.toml").write_text("[project]\nname = 'x'\n")
-    pkg = tmp_path / "src" / "repro" / "core"
-    pkg.mkdir(parents=True)
-    (pkg / "bad.py").write_text(
-        "import random\n\ndef f(x):\n    return random.choice(x)\n"
-    )
-    accepted = _run_lint(["--write-baseline", str(tmp_path / "src")])
-    assert accepted.returncode == 0
-    # Baselined violations no longer fail the run...
-    result = _run_lint([str(tmp_path / "src")])
-    assert result.returncode == 0
-    assert "baselined" in result.stdout
-    # ...but --no-baseline still reports them.
-    strict = _run_lint(["--no-baseline", str(tmp_path / "src")])
-    assert strict.returncode == 1
-
-
 def test_json_format(tmp_path):
     (tmp_path / "pyproject.toml").write_text("[project]\nname = 'x'\n")
     pkg = tmp_path / "src" / "repro" / "core"
@@ -69,7 +51,7 @@ def test_json_format(tmp_path):
     assert result.returncode == 1
     payload = json.loads(result.stdout)
     assert payload and payload[0]["rule"] == "unseeded-random"
-    assert payload[0]["fingerprint"]
+    assert set(payload[0]) == {"rule", "path", "line", "message"}
 
 
 def test_list_checkers_names_all_five():
@@ -126,18 +108,6 @@ def test_scope_splits_file_and_project_passes(tmp_path):
     deep = _run_lint(["--scope", "project", str(root / "src")], cwd=root)
     assert deep.returncode == 1
     assert "stage-effects" in deep.stdout
-
-
-def test_no_cache_flag_pins_cold_mode(tmp_path):
-    root = _stage_project(tmp_path)
-    cold = _run_lint(
-        ["--scope", "project", "--no-cache", str(root / "src")], cwd=root
-    )
-    assert cold.returncode == 1
-    assert not (root / ".lint-cache").exists()
-    warm = _run_lint(["--scope", "project", str(root / "src")], cwd=root)
-    assert (root / ".lint-cache" / "effects.json").exists()
-    assert warm.stdout == cold.stdout
 
 
 def test_explain_prints_rationale_and_example():

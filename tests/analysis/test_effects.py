@@ -1,21 +1,10 @@
-"""Effect extraction and the persistent summary cache.
-
-Extraction is a pure function of file content, which is what makes
-the ``.lint-cache/`` layer sound: these tests pin both halves — the
-local summaries the checkers consume, and the invariant that a warm
-cache run reports exactly what a cold run does.
-"""
+"""Effect extraction: the local summaries the project checkers
+consume, and the links the effect index walks between them."""
 
 import ast
-import json
 import textwrap
 
-from repro.analysis.effects import (
-    ANALYZER_VERSION,
-    EffectIndex,
-    FileSummary,
-    extract_file_summary,
-)
+from repro.analysis.effects import EffectIndex, extract_file_summary
 from repro.analysis.graph import ProjectGraph
 from repro.analysis.runner import analyze_paths
 
@@ -94,23 +83,6 @@ def test_rng_draws_and_invalidate_calls():
     ]
 
 
-def test_summary_round_trips_through_json():
-    summary = _summary(
-        """
-        class Store:
-            def touch(self):
-                self.plain = 1
-                self.bag.append(3)
-
-        def top(store: Store):
-            store.touch()
-        """
-    )
-    encoded = json.dumps(summary.to_dict(), sort_keys=True)
-    clone = FileSummary.from_dict(json.loads(encoded))
-    assert clone.to_dict() == summary.to_dict()
-
-
 def test_walk_reaches_methods_through_typed_attr_chain():
     sources = {
         "src/repro/core/a.py": """
@@ -142,7 +114,7 @@ def test_walk_reaches_methods_through_typed_attr_chain():
 
 
 # ---------------------------------------------------------------------------
-# Persistent cache
+# The project pass keeps no state between runs
 # ---------------------------------------------------------------------------
 
 _BAD_TREE = """
@@ -162,62 +134,16 @@ class Store:
 """
 
 
-def _project(tmp_path):
+def test_no_cache_mode_neither_reads_nor_writes(tmp_path):
+    """Summaries are re-extracted every run: nothing is written under
+    the project root, so a run reports only what the source says."""
     (tmp_path / "pyproject.toml").write_text("[project]\nname='x'\n")
     pkg = tmp_path / "src" / "repro" / "core"
     pkg.mkdir(parents=True)
     (pkg / "store.py").write_text(textwrap.dedent(_BAD_TREE))
-    return tmp_path
-
-
-def _lint(tmp_path, use_cache):
-    return analyze_paths(
-        [tmp_path / "src"],
-        project_root=tmp_path,
-        scope="project",
-        use_cache=use_cache,
+    before = sorted(tmp_path.rglob("*"))
+    findings = analyze_paths(
+        [tmp_path / "src"], project_root=tmp_path, scope="project"
     )
-
-
-def test_cold_and_warm_cache_report_identically(tmp_path):
-    root = _project(tmp_path)
-    cold = _lint(root, use_cache=True)
-    cache_file = root / ".lint-cache" / "effects.json"
-    assert cache_file.exists()
-    assert [v.rule for v in cold] == ["cache-invalidation"]
-    warm = _lint(root, use_cache=True)
-    assert warm == cold
-
-
-def test_no_cache_mode_neither_reads_nor_writes(tmp_path):
-    root = _project(tmp_path)
-    findings = _lint(root, use_cache=False)
     assert [v.rule for v in findings] == ["cache-invalidation"]
-    assert not (root / ".lint-cache").exists()
-
-
-def test_stale_and_corrupt_cache_entries_are_ignored(tmp_path):
-    root = _project(tmp_path)
-    baseline = _lint(root, use_cache=True)
-    cache_file = root / ".lint-cache" / "effects.json"
-
-    # Corrupt JSON: the run recovers and rewrites the cache.
-    cache_file.write_text("{ not json")
-    assert _lint(root, use_cache=True) == baseline
-
-    # Wrong analyzer version: discarded wholesale.
-    payload = json.loads(cache_file.read_text())
-    payload["version"] = ANALYZER_VERSION + 1
-    cache_file.write_text(json.dumps(payload))
-    assert _lint(root, use_cache=True) == baseline
-
-    # Stale hash (file changed since the entry was written): the
-    # entry is re-extracted, so edits are always visible.
-    store = root / "src" / "repro" / "core" / "store.py"
-    store.write_text(
-        textwrap.dedent(_BAD_TREE).replace(
-            "self._entries[key] = value",
-            "self._entries[key] = value\n        self._touch()",
-        )
-    )
-    assert _lint(root, use_cache=True) == []
+    assert sorted(tmp_path.rglob("*")) == before

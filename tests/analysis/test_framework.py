@@ -1,12 +1,12 @@
-"""Framework behavior: suppressions, baseline, fingerprints, parallel
-runs, and checker selection."""
+"""Framework behavior: suppressions, the single-load runner, and
+checker selection."""
 
 import textwrap
 
 import pytest
 
-from repro.analysis import analyze_paths, analyze_snippet
-from repro.analysis.baseline import load_baseline, write_baseline
+from repro.analysis import analyze_paths, analyze_snippet, load_module, runner
+from repro.analysis.runner import SCOPES
 
 _BAD = """
 import random
@@ -57,27 +57,6 @@ def test_suppression_only_covers_adjacent_line():
     assert [v for v in _snippet(far_away) if v.rule == "unseeded-random"]
 
 
-def test_fingerprint_stable_across_line_shifts():
-    shifted = "\n\n\n" + textwrap.dedent(_BAD)
-    original = {v.fingerprint for v in _snippet(_BAD)}
-    moved = {v.fingerprint for v in _snippet(shifted)}
-    assert original == moved
-
-
-def test_baseline_round_trip(tmp_path):
-    violations = _snippet(_BAD)
-    assert violations
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, violations)
-    baseline = load_baseline(baseline_path)
-    assert baseline.filter_new(violations) == []
-
-
-def test_missing_baseline_is_empty(tmp_path):
-    baseline = load_baseline(tmp_path / "nope.json")
-    assert baseline.filter_new(_snippet(_BAD))
-
-
 def test_unknown_checker_name_rejected(tmp_path):
     target = tmp_path / "mod.py"
     target.write_text("x = 1\n")
@@ -85,21 +64,27 @@ def test_unknown_checker_name_rejected(tmp_path):
         analyze_paths([target], select=["no-such-checker"])
 
 
-def test_parallel_and_serial_agree(tmp_path):
-    # Enough files to cross the process-pool threshold.
-    pkg = tmp_path / "src" / "repro" / "core"
-    pkg.mkdir(parents=True)
-    for i in range(20):
-        body = "import random\n\ndef f(x):\n    return random.choice(x)\n"
-        (pkg / f"mod_{i:02d}.py").write_text(body)
-    serial = analyze_paths([pkg], project_root=tmp_path, jobs=1)
-    parallel = analyze_paths([pkg], project_root=tmp_path, jobs=2)
-    assert serial == parallel
-    assert len(serial) == 20
-
-
 def test_syntax_error_reported_not_raised(tmp_path):
     target = tmp_path / "broken.py"
     target.write_text("def f(:\n")
-    found = analyze_paths([target], project_root=tmp_path)
-    assert [v for v in found if v.rule == "parse"]
+    for scope in SCOPES:
+        found = analyze_paths([target], project_root=tmp_path, scope=scope)
+        assert [v.rule for v in found] == ["parse"], scope
+
+
+def test_each_file_is_loaded_once_for_both_passes(tmp_path, monkeypatch):
+    pkg = tmp_path / "src" / "repro" / "core"
+    pkg.mkdir(parents=True)
+    for i in range(3):
+        (pkg / f"mod_{i}.py").write_text(textwrap.dedent(_BAD))
+    (pkg / "broken.py").write_text("def f(:\n")
+    loaded = []
+
+    def counting_load(path, project_root=None):
+        loaded.append(path.name)
+        return load_module(path, project_root=project_root)
+
+    monkeypatch.setattr(runner, "load_module", counting_load)
+    found = analyze_paths([pkg], project_root=tmp_path)
+    assert sorted(loaded) == ["broken.py", "mod_0.py", "mod_1.py", "mod_2.py"]
+    assert [v.rule for v in found] == ["parse"] + ["unseeded-random"] * 3

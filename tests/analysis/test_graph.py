@@ -11,7 +11,6 @@ import textwrap
 
 from repro.analysis.effects import EffectIndex, extract_file_summary
 from repro.analysis.graph import (
-    ModuleSymbols,
     ProjectGraph,
     extract_symbols,
     module_name_for,
@@ -175,10 +174,3 @@ def test_dynamic_call_degrades_to_unknown_callee():
         "repro.core.driver:dynamic"
     ]
     assert protocol_calls == []
-
-
-def test_symbols_round_trip_through_json_dict():
-    for path, src in FIXTURE.items():
-        symbols = _symbols(path, src)
-        clone = ModuleSymbols.from_dict(symbols.to_dict())
-        assert clone.to_dict() == symbols.to_dict()

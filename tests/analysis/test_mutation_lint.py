@@ -9,6 +9,7 @@ the lint run turns red — so a refactor that silently de-fangs a rule
 fails CI even though every fixture still passes.
 """
 
+import re
 import shutil
 from pathlib import Path
 
@@ -39,7 +40,6 @@ def _project_lint(root, rule):
         project_root=root,
         scope="project",
         select=[rule],
-        use_cache=False,
     )
     return [v for v in found if v.rule == rule]
 
@@ -83,3 +83,43 @@ def test_ddl_in_shadow_stage_fires_stage_effects(tree):
         "ShadowStage" in v.message and "ddl-create" in v.message
         for v in found
     )
+
+
+_IGNORE_RE = re.compile(r"#\s*lint:\s*ignore\[([^\]]*)\]")
+
+
+def test_every_inline_suppression_is_load_bearing(tree):
+    """Blank every ``# lint: ignore[...]`` outside ``analysis/`` (the
+    lines stay, so nothing shifts) and lint once: the findings must be
+    exactly the suppressed ones, each on its suppression's line or the
+    line below. A stale suppression, or a finding no suppression
+    names, fails here."""
+    pkg = tree / "src" / "repro"
+    suppressions = set()
+    for path in sorted(pkg.rglob("*.py")):
+        rel = path.relative_to(pkg)
+        if rel.parts[0] == "analysis":
+            continue
+        lines = path.read_text(encoding="utf-8").split("\n")
+        for lineno, text in enumerate(lines, start=1):
+            match = _IGNORE_RE.search(text)
+            if match is None:
+                continue
+            for rule in match.group(1).split(","):
+                suppressions.add(
+                    (rule.strip(), f"src/repro/{rel.as_posix()}", lineno)
+                )
+            lines[lineno - 1] = text[: match.start()].rstrip()
+        path.write_text("\n".join(lines), encoding="utf-8")
+    assert suppressions
+
+    covered = set()
+    for v in analyze_paths([tree / "src"], project_root=tree):
+        keys = [
+            (v.rule, v.path, line)
+            for line in (v.line, v.line - 1)
+            if (v.rule, v.path, line) in suppressions
+        ]
+        assert keys, f"no suppression names this finding: {v.render()}"
+        covered.add(keys[0])
+    assert covered == suppressions

@@ -36,7 +36,6 @@ def _lint(tmp_path, files, rule=None, scope="project"):
         [tmp_path / "src"],
         project_root=tmp_path,
         scope=scope,
-        use_cache=False,
     )
     if rule is not None:
         found = [v for v in found if v.rule == rule]

@@ -144,36 +144,6 @@ class TestSharding:
         store.observe("SELECT c FROM u")
         assert store.shard_stats() == {"t": 1, "u": 2}
 
-    def test_templates_for_tables_scopes_to_shards(self):
-        store = TemplateStore()
-        store.observe("SELECT a FROM t WHERE b = 1")
-        store.observe("SELECT a FROM u WHERE b = 1")
-        scoped = store.templates_for_tables(["u"])
-        assert len(scoped) == 1
-        assert scoped[0].tables == ("u",)
-
-    def test_templates_for_tables_includes_secondary_references(self):
-        store = TemplateStore()
-        joined = store.observe(
-            "SELECT t.a FROM t JOIN u ON t.id = u.id WHERE u.b = 1"
-        )
-        # The template shards under its primary referenced table, but
-        # a scope on the *other* joined table must still find it via
-        # the table index.
-        primary = joined.tables[0]
-        secondary = next(t for t in joined.tables if t != primary)
-        assert store.shard_stats() == {primary: 1}
-        scoped = store.templates_for_tables([secondary])
-        assert scoped == [joined]
-
-    def test_templates_for_tables_orders_hottest_first(self):
-        store = TemplateStore()
-        for _ in range(3):
-            store.observe("SELECT a FROM t WHERE b = 1")
-        store.observe("SELECT c FROM t")
-        scoped = store.templates_for_tables(["t"])
-        assert scoped[0].frequency >= scoped[1].frequency
-
     def test_eviction_charges_largest_shard(self):
         store = TemplateStore(capacity=4)
         for i in range(4):
@@ -199,4 +169,3 @@ class TestSharding:
             store.observe("SELECT a FROM t WHERE b = 1")
         store.handle_drift()  # the cold u template is dropped
         assert "u" not in store.shard_stats()
-        assert store.templates_for_tables(["u"]) == []
